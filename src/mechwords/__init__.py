@@ -41,6 +41,7 @@ from .constructions import (
     recurrence_reconstruct,
     rotation_equivalent,
     smith_ladder,
+    smith_quotients,
     smith_to_mechanical,
     smith_word,
     symbol_stages,
@@ -93,6 +94,7 @@ __all__ = [
     "recurrence_reconstruct",
     "rotation_equivalent",
     "smith_ladder",
+    "smith_quotients",
     "smith_to_mechanical",
     "smith_word",
     "symbol_stages",

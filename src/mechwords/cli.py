@@ -23,11 +23,10 @@ from .admissibility import (
 )
 from .constructions import (
     arrange,
-    canonical_rotation,
-    cf_expansion,
     euclid_trace,
     rotation_equivalent,
     smith_ladder,
+    smith_quotients,
     smith_to_mechanical,
     symbol_stages,
 )
@@ -61,11 +60,7 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 
 
 def _rendered(word: str, args) -> str:
-    if getattr(args, "canonical", False):
-        word = canonical_rotation(word)[0]
-    if getattr(args, "alphabet", "AB") == "01":
-        word = to_bits(word)
-    return word
+    return to_bits(word) if args.alphabet == "01" else word
 
 
 def _query(args) -> AdmissibilityQuery:
@@ -84,12 +79,11 @@ def cmd_plan(args) -> int:
         record.update(verdict="impossible")
         _emit(args, record, [f"IMPOSSIBLE: nt = {nt} > ks = {ks}"])
         return EXIT_NEGATIVE
+    # --canonical is a no-op: the mechanical word is its least rotation
     word = construct_admissible(query)
-    if getattr(args, "canonical", False):
-        word = canonical_rotation(word)[0]
     profile = window_weight_profile(word, query.s)
     witness = min_weight_window(word, query.s)
-    shown = to_bits(word) if args.alphabet == "01" else word
+    shown = _rendered(word, args)
     record.update(verdict="admissible", word=shown, profile=profile,
                   witness_start=witness.start, witness_weight=witness.weight)
     _emit(args, record, [
@@ -131,13 +125,15 @@ def cmd_generate(args) -> int:
         g = gcd(n, k)
         if g != 1:
             raise InputError(f"n and k not coprime (gcd {g})")
-        mu = cf_expansion(n, k)
-        # leading-decremented quotients give the length-n arrangement
-        ladder = smith_ladder([mu[0] - 1] + mu[1:])
+        quotients = smith_quotients(n, k)
+        ladder = smith_ladder(quotients)
         word = ladder[-1]
         if args.verbose:
-            record.update(quotients=[mu[0] - 1] + mu[1:], ladder=ladder)
+            record.update(quotients=quotients, ladder=ladder)
             lines += [f"S_{idx} = {w}" for idx, w in enumerate(ladder, 1)]
+    if args.canonical:
+        # every method builds a rotation of the mechanical word, the least one
+        word = mechanical_word(n, k)
     shown = _rendered(word, args)
     record.update(word=shown)
     lines.append(shown)
@@ -159,7 +155,7 @@ def cmd_check(args) -> int:
         raise InputError("t must be non-negative")
     verdict = is_admissible(word, s, t)
     witness = verdict.witness
-    shown = to_bits(word) if args.alphabet == "01" else word
+    shown = _rendered(word, args)
     record = {"command": "check", "word": shown, "n": n, "k": word.count("A"),
               "s": s, "t": t,
               "verdict": "admissible" if verdict else "not-admissible",
@@ -189,8 +185,7 @@ def _verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
                 continue
             counts["equivalence_pairs"] += 1
             built = arrange(n, k)
-            mu = cf_expansion(n, k)
-            from_recursion = smith_ladder([mu[0] - 1] + mu[1:])[-1]
+            from_recursion = smith_ladder(smith_quotients(n, k))[-1]
             mechanical = mechanical_word(n, k)
             if not (rotation_equivalent(built, from_recursion)
                     and rotation_equivalent(built, mechanical)

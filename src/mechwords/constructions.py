@@ -2,16 +2,15 @@
 
 Three routes produce the same necklace for coprime (n, k): the quotient-ladder
 build (`arrange`), the continued-fraction word recursion (`smith_word`), and
-the mechanical word. Rotation utilities make "same necklace" checkable, and
-`smith_to_mechanical` ties the recursion to the mechanical word letter for
-letter.
+the mechanical word. All three build by string doubling, one step per quotient.
+Rotation utilities make "same necklace" checkable, and `smith_to_mechanical`
+ties the recursion to the mechanical word letter for letter.
 """
 
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple, Sequence
 
-from .words import A, B, parse_word
+from .words import A, B, _euclid_quotients, _smith_ladder, parse_word
 
 PLUS = "+"
 MINUS = "-"
@@ -73,42 +72,30 @@ class EuclidTrace:
 def euclid_trace(n: int, k: int) -> EuclidTrace:
     """Run the Euclidean algorithm on (n, k), 1 <= k < n, recording every step."""
     _check_pair(n, k)
-    steps = []
-    a, b, j = n, k, -1
-    while True:
-        q, r = divmod(a, b)
-        steps.append(EuclidStep(j, q, r))
-        if r == 0:
-            return EuclidTrace(n, k, tuple(steps))
-        a, b, j = b, r, j + 1
-
-
-def _plus_minus_stages(trace: EuclidTrace) -> list[str]:
-    # grows the +/- sequence from the tail of the ladder; sizes are pinned at
-    # every stage boundary by the ladder identities
-    i = trace.terminal_index
-    q, r = trace.quotient, trace.remainder
-    seq = (PLUS + MINUS * (q(i + 1) - 1)) * r(i)
-    assert len(seq) == r(i - 1) and seq.count(PLUS) == r(i)
-    stages = [seq]
-    for j in range(i, -1, -1):
-        # a fresh minus right after each plus, then the old minuses promote
-        seq = "".join(PLUS + MINUS if c == PLUS else PLUS for c in seq)
-        assert len(seq) == r(j) + r(j - 1) and seq.count(PLUS) == r(j - 1)
-        stages.append(seq)
-        # pad the gap after every plus with q[j]-1 minuses
-        seq = "".join(PLUS + MINUS * (q(j) - 1) if c == PLUS else c for c in seq)
-        assert len(seq) == r(j - 2) and seq.count(PLUS) == r(j - 1)
-        stages.append(seq)
-    return stages
+    steps, a, b = [], n, k
+    for j, q in enumerate(_euclid_quotients(n, k)[0], -1):
+        a, b = b, a - q * b
+        steps.append(EuclidStep(j, q, b))
+    return EuclidTrace(n, k, tuple(steps))
 
 
 def symbol_stages(n: int, k: int) -> list[str]:
     """Intermediate +/- sequences behind arrange(n, k); empty when k divides n."""
     trace = euclid_trace(n, k)
-    if trace.terminal_index == -2:
+    i = trace.terminal_index
+    if i == -2:
         return []
-    return _plus_minus_stages(trace)
+    q, r = trace.quotient, trace.remainder
+    seq = (PLUS + MINUS * (q(i + 1) - 1)) * r(i)
+    stages = [seq]
+    for j in range(i, -1, -1):
+        # a fresh minus right after each plus, then the old minuses promote
+        seq = "".join(PLUS + MINUS if c == PLUS else PLUS for c in seq)
+        stages.append(seq)
+        # pad the gap after every plus with q[j]-1 minuses
+        seq = "".join(PLUS + MINUS * (q(j) - 1) if c == PLUS else c for c in seq)
+        stages.append(seq)
+    return stages
 
 
 def arrange(n: int, k: int) -> str:
@@ -118,21 +105,20 @@ def arrange(n: int, k: int) -> str:
     +/- sequence is grown from the tail of the Euclidean ladder: seed r[i]
     pluses, each followed by q[i+1]-1 minuses; then for j = i down to 0, append
     a minus after each plus, promote the previous minuses to pluses, and pad
-    the gap after every plus with q[j]-1 minuses. That ends with k symbols,
-    r[-1] of them pluses. Each plus then reads as "AB", each minus as "A", and
-    every letter A picks up q[-1]-1 trailing letters B, filling all n spots
-    with weight exactly k.
+    the gap after every plus with q[j]-1 minuses (see symbol_stages). That
+    ends with k symbols, r[-1] of them pluses. Each plus then reads as "AB",
+    each minus as "A", and every letter A picks up q[-1]-1 trailing letters
+    B, filling all n spots with weight exactly k. Each step is a substitution
+    on +/-, so the word is built from the images of + and - under them.
     """
-    trace = euclid_trace(n, k)
-    q = trace.quotient
-    if trace.terminal_index == -2:
-        word = (A + B * (q(-1) - 1)) * k
-    else:
-        seq = _plus_minus_stages(trace)[-1]
-        word = "".join(A + B if c == PLUS else A for c in seq)
-        word = "".join(A + B * (q(-1) - 1) if c == A else c for c in word)
-    assert len(word) == n and word.count(A) == k
-    return word
+    _check_pair(n, k)
+    quotients, g = _euclid_quotients(n, k)
+    # letter map + -> AB^q, - -> AB^(q-1) for the first quotient, then each
+    # later one composes + -> +-^q, - -> +-^(q-1); the last - is the seed block
+    plus, minus = A, B
+    for q in quotients:
+        plus, minus = plus + minus * q, plus + minus * (q - 1)
+    return minus * g
 
 
 def cf_expansion(p: int, q: int) -> list[int]:
@@ -143,14 +129,17 @@ def cf_expansion(p: int, q: int) -> list[int]:
     """
     if q < 1 or p <= q:
         raise ValueError(f"need p > q >= 1, got p={p}, q={q}")
-    g = gcd(p, q)
+    quotients, g = _euclid_quotients(p, q)
     if g != 1:
         raise ValueError(f"p and q not coprime (gcd {g})")
-    quotients = []
-    while q:
-        quotients.append(p // q)
-        p, q = q, p % q
     return quotients
+
+
+def smith_quotients(n: int, k: int) -> list[int]:
+    """Quotients of coprime n/k with the first lowered by 1, for Smith's length-n word."""
+    _check_pair(n, k)
+    mu = cf_expansion(n, k)  # rejects non-coprime pairs
+    return [mu[0] - 1] + mu[1:]
 
 
 def smith_ladder(quotients: Sequence[int]) -> list[str]:
@@ -165,12 +154,7 @@ def smith_ladder(quotients: Sequence[int]) -> list[str]:
         raise ValueError("quotient list must be non-empty")
     if quotients[0] < 0 or any(m < 1 for m in quotients[1:]):
         raise ValueError("quotients must be positive (the first may be 0)")
-    ladder = [B * quotients[0] + A]
-    if len(quotients) > 1:
-        ladder.append(ladder[0] * quotients[1] + B)
-    for m in quotients[2:]:
-        ladder.append(ladder[-1] * m + ladder[-2])
-    return ladder
+    return _smith_ladder(quotients)
 
 
 def smith_word(quotients: Sequence[int]) -> str:
@@ -219,14 +203,12 @@ def rotation_equivalent(w1: str, w2: str) -> bool:
 def smith_to_mechanical(n: int, k: int) -> str:
     """Rebuild the slope-k/n mechanical word from the recursion, letter for letter.
 
-    Evaluates the recursion on the leading-decremented quotients of n/k (the
-    resulting word has length exactly n), drops its final two letters, and
-    closes up as A...B. Equals mechanical_word(n, k) exactly, not merely up to
-    rotation. Requires a coprime pair.
+    Evaluates the recursion on smith_quotients(n, k) (the resulting word has
+    length exactly n), drops its final two letters, and closes up as A...B.
+    Equals mechanical_word(n, k) exactly, not merely up to rotation. Requires
+    a coprime pair.
     """
-    _check_pair(n, k)
-    mu = cf_expansion(n, k)  # rejects non-coprime pairs
-    tail = smith_word([mu[0] - 1] + mu[1:])
+    tail = smith_word(smith_quotients(n, k))
     return A + tail[:-2] + B
 
 

@@ -65,5 +65,6 @@ def pigeonhole_witness(word: str, s: int) -> WindowReport:
     if not 1 <= s < n:
         raise ValueError(f"s must be in 1..{n - 1}, got {s}")
     report = min_weight_window(word, s)
-    assert report.weight <= word.count(A) * s // n
+    if report.weight > word.count(A) * s // n:
+        raise RuntimeError(f"window weight {report.weight} breaks the pigeonhole bound")
     return report

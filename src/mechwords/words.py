@@ -6,7 +6,7 @@ how circular arrangements are read. Everything here is exact integer
 arithmetic; no floats appear anywhere in the library.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 A = "A"
 B = "B"
@@ -68,6 +68,25 @@ def factor(period: str, start: int, length: int) -> str:
     return (period * _ceil_div(s + length, n))[s:s + length]
 
 
+def _euclid_quotients(n: int, k: int) -> tuple[list[int], int]:
+    # quotients of the Euclidean algorithm on (n, k), k >= 1, and gcd(n, k)
+    quotients = []
+    while k:
+        quotients.append(n // k)
+        n, k = k, n % k
+    return quotients, n
+
+
+def _smith_ladder(quotients: Sequence[int]) -> list[str]:
+    # the string-doubling kernel: S_j = S_{j-1}^m_j * S_{j-2} from S_-1 = A,
+    # S_0 = B, one repetition and one concatenation per quotient
+    ladder, prev, cur = [], A, B
+    for m in quotients:
+        prev, cur = cur, cur * m + prev
+        ladder.append(cur)
+    return ladder
+
+
 def mechanical_word(n: int, k: int) -> str:
     """One period of the mechanical word of slope k/n, with 0 < k <= n.
 
@@ -75,16 +94,17 @@ def mechanical_word(n: int, k: int) -> str:
     so every prefix of length m holds exactly ceil(k*m/n) letters A and the
     full period has weight k. The pair is taken as given, not reduced:
     mechanical_word(4, 2) is "ABAB", two repeats of the slope-1/2 period.
+    For k < n it is smith_to_mechanical(n/g, k/g) repeated g = gcd(n, k)
+    times: the upper Christoffel word or its power, the least rotation (A < B).
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"slope k/n needs 0 < k <= n, got k={k}, n={n}")
-    letters = []
-    prev = 0
-    for i in range(1, n + 1):
-        cur = _ceil_div(k * i, n)
-        letters.append(A if cur > prev else B)
-        prev = cur
-    return "".join(letters)
+    if k == n:
+        return A * n
+    quotients, g = _euclid_quotients(n, k)
+    quotients[0] -= 1
+    tail = _smith_ladder(quotients)[-1]
+    return (A + tail[:-2] + B) * g
 
 
 class BalanceCheck(NamedTuple):

@@ -44,3 +44,34 @@ def words_of_weight(n, k):
     """Every length-n word with exactly k letters A, lexicographic."""
     for positions in itertools.combinations(range(n), k):
         yield "".join("A" if i in positions else "B" for i in range(n))
+
+
+def arrange_reference(n, k):
+    """arrange(n, k) grown symbol by symbol through the +/- stage pipeline.
+
+    Runs the Euclidean ladder itself, seeds r[i] blocks "+" "-"*(q[i+1]-1),
+    then for j = i down to 0 maps + -> +-, - -> + and pads every plus with
+    q[j]-1 minuses; finally + reads "AB", - reads "A", and each A gains
+    q[-1]-1 letters B. When k divides n the result is k blocks A B^(n/k-1).
+    """
+    quotients, remainders = [], [n, k]
+    while remainders[-1]:
+        a, b = remainders[-2], remainders[-1]
+        quotients.append(a // b)
+        remainders.append(a % b)
+    if len(quotients) == 1:
+        return ("A" + "B" * (n // k - 1)) * k
+
+    def q(j):
+        return quotients[j + 1]
+
+    def r(j):
+        return remainders[j + 3]
+
+    i = len(remainders) - 5  # r[i + 1] == 0
+    seq = ("+" + "-" * (q(i + 1) - 1)) * r(i)
+    for j in range(i, -1, -1):
+        seq = "".join("+-" if c == "+" else "+" for c in seq)
+        seq = "".join("+" + "-" * (q(j) - 1) if c == "+" else c for c in seq)
+    word = "".join("AB" if c == "+" else "A" for c in seq)
+    return "".join("A" + "B" * (q(-1) - 1) if c == "A" else c for c in word)

@@ -2,7 +2,10 @@
 
 import json
 import re
+from math import gcd
 
+import naive
+from mechwords import canonical_rotation, cli
 from mechwords.cli import main
 
 
@@ -116,6 +119,40 @@ def test_generate_canonical_and_bits(capsys):
     code, out, _ = run(capsys, "generate", "4", "3", "--alphabet", "01")
     assert code == 0
     assert out.strip() == "1110"
+
+
+def test_generate_canonical_matches_brute_force(capsys, monkeypatch):
+    # --canonical prints the mechanical word without rotating anything; it
+    # must be the least rotation of what each method builds
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n in range(2, 121):
+        for k in range(1, n):
+            methods = ["mechanical", "euclid"] + (["smith"] if gcd(n, k) == 1 else [])
+            for method in methods:
+                argv = ["generate", str(n), str(k), "--method", method]
+                code, word, _ = run(capsys, *argv)
+                assert code == 0
+                code, canonical, _ = run(capsys, *argv, "--canonical")
+                assert code == 0
+                assert canonical == naive.min_rotation(word.strip())[0] + "\n", argv
+
+
+def test_plan_canonical_is_least_rotation(capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n in range(2, 41):
+        for k in range(1, n):
+            for s in {1, n // 2, n - 1}:
+                argv = ["plan", str(n), str(k), str(s), str(k * s // n),
+                        "--format", "machine"]
+                code, plain, _ = run(capsys, *argv)
+                assert code == 0
+                code, canonical, _ = run(capsys, *argv, "--canonical")
+                assert code == 0
+                assert canonical == plain
+                word = json.loads(canonical)["word"]
+                assert word == canonical_rotation(word)[0], argv
 
 
 def test_generate_rejects_bad_pair(capsys):

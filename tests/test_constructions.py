@@ -106,6 +106,13 @@ def test_arrange_length_and_weight():
             assert weight(word) == k
 
 
+def test_arrange_matches_stage_pipeline():
+    # byte for byte against the symbol-by-symbol oracle, coprime or not
+    for n in range(2, 400):
+        for k in range(1, n):
+            assert arrange(n, k) == naive.arrange_reference(n, k), (n, k)
+
+
 @pytest.mark.parametrize("n, k", [(5, 5), (5, 0), (4, 6)])
 def test_arrange_rejects(n, k):
     with pytest.raises(ValueError):
@@ -122,6 +129,24 @@ def test_symbol_stages_87_36():
     assert stages[0] == "+-+-+-"
     assert stages[2] == "+--+-" * 3
     assert stages[4] == "+--+-+-+--+-" * 3
+
+
+def test_symbol_stages_obey_ladder_identities():
+    # the seed stage holds r[i-1] symbols, r[i] of them pluses; at each level
+    # j the promotion stage holds r[j] + r[j-1] symbols and the padded stage
+    # r[j-2], both with r[j-1] pluses
+    for n in range(2, 300):
+        for k in range(1, n):
+            trace = euclid_trace(n, k)
+            i, r = trace.terminal_index, trace.remainder
+            stages = symbol_stages(n, k)
+            if i == -2:
+                assert stages == []
+                continue
+            expected = [(r(i - 1), r(i))]
+            for j in range(i, -1, -1):
+                expected += [(r(j) + r(j - 1), r(j - 1)), (r(j - 2), r(j - 1))]
+            assert [(len(s), s.count("+")) for s in stages] == expected, (n, k)
 
 
 def test_symbol_stages_divisible_case_is_empty():

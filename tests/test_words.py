@@ -131,13 +131,12 @@ def test_mechanical_word_rejects_bad_slope(n, k):
 
 def test_mechanical_word_prefix_counts():
     # prefix of length m holds exactly ceil(k*m/n) letters A
-    for n in range(1, 121):
+    for n in range(1, 301):
         for k in range(1, n + 1):
             word = mechanical_word(n, k)
-            running = 0
-            for m in range(1, n + 1):
-                running += word[m - 1] == "A"
-                assert running == -(-k * m // n)
+            counts = itertools.accumulate(c == "A" for c in word)
+            assert all(running == -(-k * m // n)
+                       for m, running in enumerate(counts, 1)), (n, k)
 
 
 def test_mechanical_word_weight_length_and_gcd_structure():
