@@ -15,7 +15,7 @@ from mechwords import (
     construct_admissible,
     criterion,
     is_admissible,
-    pigeonhole_witness,
+    min_weight_window,
     window_weight_profile,
 )
 
@@ -27,13 +27,17 @@ print(f"criterion n*t <= k*s: {query.n * query.t} <= {query.k * query.s}?",
       criterion(query))
 
 # No ordering works. Brute force over all C(10,3) = 120 arrangements agrees,
-# and the pigeonhole certificate shows where any given lineup breaks.
+# and the pigeonhole certificate shows where any given lineup breaks: the n
+# court loads sum to k*s, so the lightest court holds at most floor(k*s/n).
 result = brute_force_exists(query)
 print(f"exhaustive search: exists={result.exists} "
       f"after {result.instances_checked} arrangements")
 
+bound = query.k * query.s // query.n
+print(f"pigeonhole: every lineup has a court with at most floor(k*s/n) = {bound} "
+      f"< t = {query.t} A-shirts")
 lineup = "AAABBBBBBB"  # the naive lineup: all A-shirts bunched together
-witness = pigeonhole_witness(lineup, query.s)
+witness = min_weight_window(lineup, query.s)
 print(f"naive lineup {lineup}: the court starting at spot {witness.start} "
       f"has only {witness.weight} A-shirts")
 

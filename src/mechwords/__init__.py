@@ -8,9 +8,9 @@ verify the constructions against exhaustive brute force at small scale.
 The package splits into:
 
 - ``words``: two-letter words, periodic reads, the mechanical-word generator,
-  and balance checking.
-- ``admissibility``: circular window profiles, the n*t <= k*s criterion, the
-  complement restatement, and window discrepancy.
+  the circular window kernel, and balance checking.
+- ``admissibility``: circular window profiles, the n*t <= k*s criterion, and
+  window discrepancy.
 - ``constructions``: the Euclidean quotient-ladder build, the
   continued-fraction word recursion, rotation canonicalization, and the exact
   bridges between all three routes.
@@ -23,7 +23,6 @@ from .admissibility import (
     AdmissibilityQuery,
     AdmissibilityVerdict,
     WindowReport,
-    complement_check,
     construct_admissible,
     criterion,
     discrepancy,
@@ -46,17 +45,15 @@ from .constructions import (
     smith_word,
     symbol_stages,
 )
-from .oracle import OracleResult, brute_force_exists, pigeonhole_witness
+from .oracle import OracleResult, brute_force_exists
 from .words import (
     A,
     B,
     BalanceCheck,
     check_balance,
-    concat,
     factor,
     mechanical_word,
     parse_word,
-    power,
     to_bits,
     weight,
 )
@@ -78,8 +75,6 @@ __all__ = [
     "canonical_rotation",
     "cf_expansion",
     "check_balance",
-    "complement_check",
-    "concat",
     "construct_admissible",
     "criterion",
     "discrepancy",
@@ -89,8 +84,6 @@ __all__ = [
     "mechanical_word",
     "min_weight_window",
     "parse_word",
-    "pigeonhole_witness",
-    "power",
     "recurrence_reconstruct",
     "rotation_equivalent",
     "smith_ladder",

@@ -9,7 +9,7 @@ of slope k/n always works.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import A, mechanical_word, parse_word, weight
+from .words import _window_weights, mechanical_word, parse_word
 
 
 class WindowReport(NamedTuple):
@@ -59,25 +59,24 @@ class AdmissibilityQuery:
 def window_weight_profile(word: str, m: int) -> list[int]:
     """Weights of all n circular windows of length m; entry i starts at spot i.
 
-    Computed by sliding the window once around the circle, linear in n.
+    One running sum around the circle (the `words` window kernel), linear in n.
     """
     parse_word(word)
     n = len(word)
     if not 1 <= m <= n:
         raise ValueError(f"window length must be in 1..{n}, got {m}")
-    w = word[:m].count(A)
-    profile = [w]
-    for start in range(1, n):
-        w += (word[(start + m - 1) % n] == A) - (word[start - 1] == A)
-        profile.append(w)
-    return profile
+    return _window_weights(word, m)
+
+
+def _min_window(profile: list[int], m: int) -> WindowReport:
+    # the minimum-weight window of a length-m profile, smallest start on ties
+    w = min(profile)
+    return WindowReport(profile.index(w), m, w)
 
 
 def min_weight_window(word: str, m: int) -> WindowReport:
     """The minimum-weight circular window of length m (smallest start on ties)."""
-    profile = window_weight_profile(word, m)
-    w = min(profile)
-    return WindowReport(profile.index(w), m, w)
+    return _min_window(window_weight_profile(word, m), m)
 
 
 def is_admissible(word: str, s: int, t: int) -> AdmissibilityVerdict:
@@ -102,18 +101,6 @@ def construct_admissible(query: AdmissibilityQuery) -> str | None:
     if not criterion(query):
         return None
     return mechanical_word(query.n, query.k)
-
-
-def complement_check(word: str, s: int, t: int) -> bool:
-    """Restated admissibility: every (n-s)-window holds at most k-t letters A.
-
-    Equivalent to is_admissible(word, s, t) for every word; exposed separately
-    so the equivalence stays testable.
-    """
-    n = len(word)
-    if not 1 <= s < n:
-        raise ValueError(f"s must be in 1..{n - 1}, got {s}")
-    return max(window_weight_profile(word, n - s)) <= weight(word) - t
 
 
 def discrepancy(word: str, m: int) -> int:

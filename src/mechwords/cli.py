@@ -9,16 +9,16 @@ with stable field names.
 import argparse
 import json
 import sys
+from itertools import accumulate
 from math import gcd
 from typing import Sequence
 
 from .admissibility import (
     AdmissibilityQuery,
+    _min_window,
     construct_admissible,
     criterion,
     discrepancy,
-    is_admissible,
-    min_weight_window,
     window_weight_profile,
 )
 from .constructions import (
@@ -82,7 +82,7 @@ def cmd_plan(args) -> int:
     # --canonical is a no-op: the mechanical word is its least rotation
     word = construct_admissible(query)
     profile = window_weight_profile(word, query.s)
-    witness = min_weight_window(word, query.s)
+    witness = _min_window(profile, query.s)
     shown = _rendered(word, args)
     record.update(verdict="admissible", word=shown, profile=profile,
                   witness_start=witness.start, witness_weight=witness.weight)
@@ -153,32 +153,33 @@ def cmd_check(args) -> int:
         raise InputError(f"s must be in 1..{n}, got {s}")
     if t < 0:
         raise InputError("t must be non-negative")
-    verdict = is_admissible(word, s, t)
-    witness = verdict.witness
+    profile = window_weight_profile(word, s)
+    witness = _min_window(profile, s)
+    admissible = witness.weight >= t
     shown = _rendered(word, args)
     record = {"command": "check", "word": shown, "n": n, "k": word.count("A"),
               "s": s, "t": t,
-              "verdict": "admissible" if verdict else "not-admissible",
+              "verdict": "admissible" if admissible else "not-admissible",
               "witness_start": witness.start, "witness_weight": witness.weight}
-    if verdict:
+    if admissible:
         lines = [f"ADMISSIBLE: every window of {s} spots holds >= {t} letters A"]
     else:
         lines = [f"NOT ADMISSIBLE: window at start {witness.start} "
                  f"holds {witness.weight} < {t} letters A"]
     lines.append(f"min window: start {witness.start}, weight {witness.weight}")
     if args.verbose:
-        profile = window_weight_profile(word, s)
         record.update(profile=profile)
         lines.append(f"window weights (s={s}): {' '.join(map(str, profile))}")
     _emit(args, record, lines)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+    return EXIT_OK if admissible else EXIT_NEGATIVE
 
 
 def _verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     counts = {"equivalence_pairs": 0, "oracle_cells": 0, "balance_checks": 0}
     failures = []
 
-    # three-way equivalence over coprime pairs
+    # three-way equivalence over coprime pairs, and the mechanical word against
+    # the ceiling formula: its prefix of length i holds ceil(k*i/n) letters A
     for n in range(2, n_max + 1):
         for k in range(1, n):
             if gcd(n, k) != 1:
@@ -187,7 +188,9 @@ def _verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
             built = arrange(n, k)
             from_recursion = smith_ladder(smith_quotients(n, k))[-1]
             mechanical = mechanical_word(n, k)
-            if not (rotation_equivalent(built, from_recursion)
+            prefix_counts = accumulate((letter == "A" for letter in mechanical), initial=0)
+            if not (all(c == -(-k * i // n) for i, c in enumerate(prefix_counts))
+                    and rotation_equivalent(built, from_recursion)
                     and rotation_equivalent(built, mechanical)
                     and smith_to_mechanical(n, k) == mechanical):
                 failures.append(

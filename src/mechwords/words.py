@@ -6,6 +6,8 @@ how circular arrangements are read. Everything here is exact integer
 arithmetic; no floats appear anywhere in the library.
 """
 
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple, Sequence
 
 A = "A"
@@ -14,6 +16,7 @@ ALPHABET = frozenset((A, B))
 
 # fixed rendering bijection: A <-> 1, B <-> 0
 _BITS = str.maketrans(A + B, "10")
+_BYTES = bytes.maketrans(b"AB", b"\x01\x00")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -33,18 +36,6 @@ def parse_word(text: str) -> str:
 def to_bits(word: str) -> str:
     """Render a word as 0/1 digits (A -> 1, B -> 0)."""
     return parse_word(word).translate(_BITS)
-
-
-def concat(x: str, y: str) -> str:
-    """Concatenation; the empty word is the two-sided identity."""
-    return parse_word(x) + parse_word(y)
-
-
-def power(x: str, e: int) -> str:
-    """x repeated e times; power(x, 0) is the empty word."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return parse_word(x) * e
 
 
 def weight(u: str) -> int:
@@ -119,6 +110,19 @@ class BalanceCheck(NamedTuple):
         return self.ok
 
 
+def _window_weights(word: str, m: int) -> list[int]:
+    # the window kernel: weights of all n circular windows of length m >= 1 of
+    # a non-empty word, entry i starting at spot i. The first window holds q
+    # full periods and word[:r], q, r = divmod(m, n); each next weight adds the
+    # entering letter (spot i + r) and drops the leaving one (spot i), one
+    # C-level running sum over the word as 0/1 bytes
+    n = len(word)
+    q, r = divmod(m, n)
+    bits = word.encode().translate(_BYTES)
+    first = q * word.count(A) + word.count(A, 0, r)
+    return list(accumulate(map(sub, bits[r:] + bits[:r], bits[:-1]), initial=first))
+
+
 def check_balance(period: str, m: int) -> BalanceCheck:
     """Check every length-m factor of the periodic word against balance bounds.
 
@@ -135,10 +139,8 @@ def check_balance(period: str, m: int) -> BalanceCheck:
         raise ValueError("factor length must be positive")
     n, k = len(period), period.count(A)
     low, high = (m * k) // n, _ceil_div(m * k, n)
-    w = factor(period, 0, m).count(A)
-    for start in range(n):
-        if not low <= w <= high:
-            return BalanceCheck(False, start, w, low, high)
-        # slide one spot: drop the leaving letter, add the entering one
-        w += (period[(start + m) % n] == A) - (period[start] == A)
-    return BalanceCheck(True, None, None, low, high)
+    weights = _window_weights(period, m)
+    if low <= min(weights) and max(weights) <= high:
+        return BalanceCheck(True, None, None, low, high)
+    start = next(i for i, w in enumerate(weights) if not low <= w <= high)
+    return BalanceCheck(False, start, weights[start], low, high)

@@ -5,7 +5,7 @@ import re
 from math import gcd
 
 import naive
-from mechwords import canonical_rotation, cli
+from mechwords import admissibility, canonical_rotation, cli, words
 from mechwords.cli import main
 
 
@@ -203,6 +203,40 @@ def test_verify_small(capsys):
     assert record["verdict"] == "pass"
     assert record["equivalence_pairs"] == 21   # coprime pairs with n <= 8
     assert record["oracle_cells"] > 0 and record["balance_checks"] > 0
+
+
+def test_verify_checks_mechanical_word_against_ceiling_formula(capsys, monkeypatch):
+    # a rotated mechanical word passes every rotation and balance check and
+    # equals a rotated Smith word; only the ceiling formula catches it
+    mechanical_word = cli.mechanical_word
+
+    def rotated(n, k):
+        word = mechanical_word(n, k)
+        return word[1:] + word[:1]
+
+    monkeypatch.setattr(cli, "mechanical_word", rotated)
+    monkeypatch.setattr(cli, "smith_to_mechanical", rotated)
+    code, record, _ = machine(capsys, "verify", "8")
+    assert code == 2
+    assert record["verdict"] == "fail"
+    assert all(f.startswith("equivalence") for f in record["failures"])
+
+
+def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(word, m):
+        calls.append(m)
+        return words._window_weights(word, m)
+
+    monkeypatch.setattr(admissibility, "_window_weights", counting)
+    code, record, _ = machine(capsys, "plan", "1000", "382", "17", "6")
+    assert code == 0 and record["witness_weight"] == 6
+    assert calls == [17]
+    calls.clear()
+    code, record, _ = machine(capsys, "check", "ABABABB", "5", "2", "--verbose")
+    assert code == 0 and record["profile"] == naive.windows("ABABABB", 5)
+    assert calls == [5]
 
 
 def test_verify_smallest_range(capsys):

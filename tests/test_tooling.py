@@ -1,7 +1,9 @@
 """Repository rules that the tests enforce."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "mechwords"
 
@@ -14,3 +16,21 @@ def test_no_assert_statements_in_src():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def test_public_names_and_module_map_resolve():
+    # every exported name exists, and every name the README's module map
+    # lists under a module is defined on that module
+    import mechwords
+
+    missing = [name for name in mechwords.__all__ if not hasattr(mechwords, name)]
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    module_map = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    entries = re.findall(r"^- `mechwords\.(\w+)` —(.*?)(?=^- |\Z)", module_map, re.M | re.S)
+    assert entries
+    for module_name, text in entries:
+        module = importlib.import_module(f"mechwords.{module_name}")
+        for listed in re.findall(r"`([^`]+)`", text):
+            missing += [f"{module_name}.{name}" for name in listed.split("/")
+                        if name.isidentifier() and not hasattr(module, name)]
+    assert not missing, f"names that do not resolve: {missing}"

@@ -1,4 +1,4 @@
-"""Word primitives: concatenation, weights, periodic reads, mechanical words."""
+"""Word primitives: weights, periodic reads, mechanical words, balance."""
 
 import itertools
 from math import gcd
@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 import naive
 from mechwords import (
     check_balance,
-    concat,
     factor,
     mechanical_word,
     parse_word,
-    power,
     to_bits,
     weight,
 )
+from mechwords.words import _window_weights
 
 words_st = st.text(alphabet="AB", max_size=32)
 
@@ -32,29 +31,6 @@ MECHANICAL_GOLDEN = {
     (4, 3): "AAAB",
     (10, 3): "ABBABBABBB",
 }
-
-
-@pytest.mark.parametrize("x, y, expected", [
-    ("AB", "BA", "ABBA"),
-    ("", "AB", "AB"),
-    ("A", "A", "AA"),
-])
-def test_concat(x, y, expected):
-    assert concat(x, y) == expected
-
-
-@pytest.mark.parametrize("x, e, expected", [
-    ("BA", 3, "BABABA"),
-    ("A", 0, ""),
-    ("AB", 1, "AB"),
-])
-def test_power(x, e, expected):
-    assert power(x, e) == expected
-
-
-def test_power_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        power("AB", -1)
 
 
 @pytest.mark.parametrize("u, expected", [("ABBAB", 2), ("", 0), ("AAAA", 4)])
@@ -77,17 +53,7 @@ def test_to_bits():
 
 @given(words_st, words_st)
 def test_weight_adds_under_concat(x, y):
-    assert weight(concat(x, y)) == weight(x) + weight(y)
-
-
-def test_concat_monoid_laws():
-    words = [""] + ["".join(p) for n in (1, 2, 3)
-                    for p in itertools.product("AB", repeat=n)]
-    for x in words:
-        assert concat(x, "") == concat("", x) == x
-        for y in words:
-            for z in words:
-                assert concat(concat(x, y), z) == concat(x, concat(y, z))
+    assert weight(x + y) == weight(x) + weight(y)
 
 
 @pytest.mark.parametrize("period, start, length, expected", [
@@ -146,7 +112,7 @@ def test_mechanical_word_weight_length_and_gcd_structure():
             assert len(word) == n
             assert weight(word) == k
             d = gcd(n, k)
-            assert word == power(mechanical_word(n // d, k // d), d)
+            assert word == mechanical_word(n // d, k // d) * d
 
 
 def test_check_balance_examples():
@@ -173,15 +139,19 @@ def test_check_balance_agrees_with_enumeration():
 
 
 def test_check_balance_reports_first_violation():
+    # window lengths up to 2n, so windows longer than the word wrap around it;
+    # the window kernel's weights match the sliced windows value by value
     for n in range(2, 8):
         for word in naive.all_words(n):
-            for m in range(1, n + 1):
+            for m in range(1, 2 * n + 1):
                 result = check_balance(word, m)
-                if result.ok:
-                    continue
                 profile = naive.windows(word, m)
+                assert _window_weights(word, m) == profile
                 violating = [s for s, w in enumerate(profile)
                              if not result.low <= w <= result.high]
+                if result.ok:
+                    assert not violating
+                    continue
                 assert result.start == violating[0]
                 assert result.weight == profile[result.start]
 
