@@ -8,11 +8,11 @@ Reading A as +1 and B as -1 turns that into a discrepancy statement: the
 absolute window sum never exceeds m - 2*floor(m*k/n) when k <= n/2.
 """
 
-from mechwords import check_balance, discrepancy, mechanical_word, weight
+from mechwords import check_balance, discrepancy, mechanical_word
 
 n, k = 23, 10
 word = mechanical_word(n, k)
-print(f"mechanical word of slope {k}/{n}: {word} (weight {weight(word)})")
+print(f"mechanical word of slope {k}/{n}: {word} (weight {word.count('A')})")
 
 # Balance at every window length, including lengths beyond one period.
 print("\n  m  floor  ceil  ok")

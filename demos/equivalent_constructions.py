@@ -28,9 +28,8 @@ from mechwords import (
 n, k = 23, 10
 
 # Route 1: the Euclidean ladder and the +/- growth stages behind it.
-trace = euclid_trace(n, k)
-print(f"Euclid on ({n}, {k}): quotients {trace.quotients}, "
-      f"remainders {trace.remainders}")
+quotients, remainders = euclid_trace(n, k)
+print(f"Euclid on ({n}, {k}): quotients {quotients}, remainders {remainders}")
 for idx, stage in enumerate(symbol_stages(n, k), 1):
     print(f"  stage {idx}: [{','.join(stage)}]")
 built = arrange(n, k)

@@ -19,7 +19,7 @@ from mechwords import (
     criterion,
     mechanical_word,
     rotation_equivalent,
-    smith_word,
+    smith_ladder,
 )
 
 # Criterion versus exhaustive search over every (n, k, s, t) cell up to n=9.
@@ -48,7 +48,8 @@ for n in range(2, 41):
             continue
         mu = cf_expansion(n, k)
         assert rotation_equivalent(arrange(n, k), mechanical_word(n, k))
-        assert rotation_equivalent(arrange(n, k), smith_word([mu[0] - 1] + mu[1:]))
+        recursion = smith_ladder([mu[0] - 1] + mu[1:])[-1]
+        assert rotation_equivalent(arrange(n, k), recursion)
         pairs += 1
 print(f"three-way equivalence: {pairs} coprime pairs OK")
 

@@ -7,8 +7,8 @@ verify the constructions against exhaustive brute force at small scale.
 
 The package splits into:
 
-- ``words``: two-letter words, periodic reads, the mechanical-word generator,
-  the circular window kernel, and balance checking.
+- ``words``: two-letter words, the mechanical-word generator, the circular
+  window kernel, and balance checking.
 - ``admissibility``: circular window profiles, the n*t <= k*s criterion, and
   window discrepancy.
 - ``constructions``: the Euclidean quotient-ladder build, the
@@ -31,18 +31,14 @@ from .admissibility import (
     window_weight_profile,
 )
 from .constructions import (
-    EuclidStep,
-    EuclidTrace,
     arrange,
     canonical_rotation,
     cf_expansion,
     euclid_trace,
-    recurrence_reconstruct,
     rotation_equivalent,
     smith_ladder,
     smith_quotients,
     smith_to_mechanical,
-    smith_word,
     symbol_stages,
 )
 from .oracle import OracleResult, brute_force_exists
@@ -51,11 +47,9 @@ from .words import (
     B,
     BalanceCheck,
     check_balance,
-    factor,
     mechanical_word,
     parse_word,
     to_bits,
-    weight,
 )
 
 __version__ = "0.1.0"
@@ -66,8 +60,6 @@ __all__ = [
     "AdmissibilityQuery",
     "AdmissibilityVerdict",
     "BalanceCheck",
-    "EuclidStep",
-    "EuclidTrace",
     "OracleResult",
     "WindowReport",
     "arrange",
@@ -79,19 +71,15 @@ __all__ = [
     "criterion",
     "discrepancy",
     "euclid_trace",
-    "factor",
     "is_admissible",
     "mechanical_word",
     "min_weight_window",
     "parse_word",
-    "recurrence_reconstruct",
     "rotation_equivalent",
     "smith_ladder",
     "smith_quotients",
     "smith_to_mechanical",
-    "smith_word",
     "symbol_stages",
     "to_bits",
-    "weight",
     "window_weight_profile",
 ]

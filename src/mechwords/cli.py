@@ -22,6 +22,7 @@ from .admissibility import (
     window_weight_profile,
 )
 from .constructions import (
+    _check_pair,
     arrange,
     euclid_trace,
     rotation_equivalent,
@@ -63,15 +64,16 @@ def _rendered(word: str, args) -> str:
     return to_bits(word) if args.alphabet == "01" else word
 
 
-def _query(args) -> AdmissibilityQuery:
+def _checked(fn, *args):
+    # the library validates its own domain; its ValueError is an input error
     try:
-        return AdmissibilityQuery(args.n, args.k, args.s, args.t)
+        return fn(*args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def cmd_plan(args) -> int:
-    query = _query(args)
+    query = _checked(AdmissibilityQuery, args.n, args.k, args.s, args.t)
     nt, ks = query.n * query.t, query.k * query.s
     record = {"command": "plan", "n": query.n, "k": query.k, "s": query.s,
               "t": query.t, "nt": nt, "ks": ks}
@@ -97,8 +99,7 @@ def cmd_plan(args) -> int:
 
 def cmd_generate(args) -> int:
     n, k = args.n, args.k
-    if n < 1 or not 1 <= k < n:
-        raise InputError(f"need 1 <= k < n, got n={n}, k={k}")
+    _checked(_check_pair, n, k)
     record = {"command": "generate", "n": n, "k": k, "method": args.method}
     lines = []
     if args.method == "mechanical":
@@ -106,15 +107,12 @@ def cmd_generate(args) -> int:
     elif args.method == "euclid":
         word = arrange(n, k)
         if args.verbose:
-            trace = euclid_trace(n, k)
-            divisions = [
-                f"{trace.remainder(step.index - 2)} = "
-                f"{step.quotient}*{trace.remainder(step.index - 1)} + {step.remainder}"
-                for step in trace.steps
-            ]
+            quotients, remainders = euclid_trace(n, k)
+            r = [n, k] + remainders
+            divisions = [f"{r[j]} = {q}*{r[j + 1]} + {r[j + 2]}"
+                         for j, q in enumerate(quotients)]
             stages = symbol_stages(n, k)
-            record.update(quotients=trace.quotients, remainders=trace.remainders,
-                          stages=stages)
+            record.update(quotients=quotients, remainders=remainders, stages=stages)
             lines.append("trace: " + "; ".join(divisions))
             if stages:
                 lines += [f"stage {idx}: [{','.join(seq)}]"
@@ -142,10 +140,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        word = parse_word(args.word)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    word = _checked(parse_word, args.word)
     if not word:
         raise InputError("word must be non-empty")
     n, s, t = len(word), args.s, args.t
@@ -248,8 +243,7 @@ def cmd_verify(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     n, k, m = args.n, args.k, args.m
-    if n < 1 or not 1 <= k < n:
-        raise InputError(f"need 1 <= k < n, got n={n}, k={k}")
+    _checked(_check_pair, n, k)
     if not 1 <= m <= n:
         raise InputError(f"m must be in 1..{n}, got {m}")
     word = mechanical_word(n, k)

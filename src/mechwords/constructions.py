@@ -1,19 +1,21 @@
 """Equivalent builders for balanced circular arrangements.
 
 Three routes produce the same necklace for coprime (n, k): the quotient-ladder
-build (`arrange`), the continued-fraction word recursion (`smith_word`), and
-the mechanical word. All three build by string doubling, one step per quotient.
-Rotation utilities make "same necklace" checkable, and `smith_to_mechanical`
-ties the recursion to the mechanical word letter for letter.
+build (`arrange`), the continued-fraction word recursion (`smith_ladder`),
+and the mechanical word. All three build by string doubling, one step per
+quotient. Rotation utilities make "same necklace" checkable, and
+`smith_to_mechanical` ties the recursion to the mechanical word letter for
+letter.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .words import A, B, _euclid_quotients, _smith_ladder, parse_word
 
 PLUS = "+"
 MINUS = "-"
+# a fresh minus right after each plus, and the old minuses promote to pluses
+_PROMOTE = str.maketrans({PLUS: PLUS + MINUS, MINUS: PLUS})
 
 
 def _check_pair(n: int, k: int) -> None:
@@ -21,79 +23,33 @@ def _check_pair(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
 
 
-class EuclidStep(NamedTuple):
-    """One division r[j-2] = quotient * r[j-1] + remainder, recorded at index j."""
-    index: int
-    quotient: int
-    remainder: int
+def euclid_trace(n: int, k: int) -> tuple[list[int], list[int]]:
+    """Quotients and remainders of the Euclidean algorithm on (n, k), 1 <= k < n.
 
-
-@dataclass(frozen=True)
-class EuclidTrace:
-    """Quotient/remainder ladder of the Euclidean algorithm on (n, k).
-
-    Remainders are indexed with the seeds at r[-3] = n and r[-2] = k, so the
-    first recorded step has index -1 (n = q*k + r). The ladder stops at the
-    first zero remainder; `terminal_index` is the i with r[i+1] = 0, so that
-    r[i] = gcd(n, k). A single exact division (k divides n) has terminal
-    index -2.
+    Over r = [n, k] + remainders, division j reads r[j] = q[j]*r[j+1] + r[j+2].
+    The remainders stop at the first 0, so r[-2] is gcd(n, k).
     """
-    n: int
-    k: int
-    steps: tuple[EuclidStep, ...]
-
-    @property
-    def terminal_index(self) -> int:
-        return self.steps[-1].index - 1
-
-    @property
-    def quotients(self) -> list[int]:
-        return [step.quotient for step in self.steps]
-
-    @property
-    def remainders(self) -> list[int]:
-        return [step.remainder for step in self.steps]
-
-    @property
-    def gcd(self) -> int:
-        return self.remainder(self.terminal_index)
-
-    def quotient(self, j: int) -> int:
-        return self.steps[j + 1].quotient
-
-    def remainder(self, j: int) -> int:
-        if j == -3:
-            return self.n
-        if j == -2:
-            return self.k
-        return self.steps[j + 1].remainder
-
-
-def euclid_trace(n: int, k: int) -> EuclidTrace:
-    """Run the Euclidean algorithm on (n, k), 1 <= k < n, recording every step."""
     _check_pair(n, k)
-    steps, a, b = [], n, k
-    for j, q in enumerate(_euclid_quotients(n, k)[0], -1):
+    quotients, remainders = _euclid_quotients(n, k)[0], []
+    a, b = n, k
+    for q in quotients:
         a, b = b, a - q * b
-        steps.append(EuclidStep(j, q, b))
-    return EuclidTrace(n, k, tuple(steps))
+        remainders.append(b)
+    return quotients, remainders
 
 
 def symbol_stages(n: int, k: int) -> list[str]:
     """Intermediate +/- sequences behind arrange(n, k); empty when k divides n."""
-    trace = euclid_trace(n, k)
-    i = trace.terminal_index
-    if i == -2:
+    quotients, remainders = euclid_trace(n, k)
+    if len(quotients) == 1:
         return []
-    q, r = trace.quotient, trace.remainder
-    seq = (PLUS + MINUS * (q(i + 1) - 1)) * r(i)
+    seq = (PLUS + MINUS * (quotients[-1] - 1)) * remainders[-2]
     stages = [seq]
-    for j in range(i, -1, -1):
-        # a fresh minus right after each plus, then the old minuses promote
-        seq = "".join(PLUS + MINUS if c == PLUS else PLUS for c in seq)
+    for q in reversed(quotients[1:-1]):
+        seq = seq.translate(_PROMOTE)
         stages.append(seq)
-        # pad the gap after every plus with q[j]-1 minuses
-        seq = "".join(PLUS + MINUS * (q(j) - 1) if c == PLUS else c for c in seq)
+        # pad the gap after every plus with q-1 minuses
+        seq = seq.translate({ord(PLUS): PLUS + MINUS * (q - 1)})
         stages.append(seq)
     return stages
 
@@ -102,14 +58,16 @@ def arrange(n: int, k: int) -> str:
     """Spread k letters A over a circle of n spots with the gaps as even as possible.
 
     When k divides n the result is k blocks "A" + "B"*(n//k - 1). Otherwise a
-    +/- sequence is grown from the tail of the Euclidean ladder: seed r[i]
-    pluses, each followed by q[i+1]-1 minuses; then for j = i down to 0, append
-    a minus after each plus, promote the previous minuses to pluses, and pad
-    the gap after every plus with q[j]-1 minuses (see symbol_stages). That
-    ends with k symbols, r[-1] of them pluses. Each plus then reads as "AB",
-    each minus as "A", and every letter A picks up q[-1]-1 trailing letters
-    B, filling all n spots with weight exactly k. Each step is a substitution
-    on +/-, so the word is built from the images of + and - under them.
+    +/- sequence is grown from the tail of the Euclidean ladder: seed gcd(n, k)
+    pluses, each followed by q-1 minuses for the last quotient q; then for
+    each quotient q from the next-to-last back to the second, append a minus
+    after each plus, promote the previous minuses to pluses, and pad the gap
+    after every plus with q-1 minuses (see symbol_stages). That ends with k
+    symbols, n mod k of them pluses. Each plus then reads as "AB", each minus
+    as "A", and every letter A picks up q-1 trailing letters B for the first
+    quotient q, filling all n spots with weight exactly k. Each step is a
+    substitution on +/-, so the word is built from the images of + and -
+    under them.
     """
     _check_pair(n, k)
     quotients, g = _euclid_quotients(n, k)
@@ -125,7 +83,8 @@ def cf_expansion(p: int, q: int) -> list[int]:
     """Continued-fraction quotients of p/q, for coprime p > q >= 1.
 
     These are exactly the quotients of the Euclidean algorithm; no tail
-    normalization is applied, so recurrence_reconstruct gives back (p, q).
+    normalization is applied, so a = q*a' + a'' run back through them from
+    the seeds 0, 1 gives (p, q).
     """
     if q < 1 or p <= q:
         raise ValueError(f"need p > q >= 1, got p={p}, q={q}")
@@ -155,11 +114,6 @@ def smith_ladder(quotients: Sequence[int]) -> list[str]:
     if quotients[0] < 0 or any(m < 1 for m in quotients[1:]):
         raise ValueError("quotients must be positive (the first may be 0)")
     return _smith_ladder(quotients)
-
-
-def smith_word(quotients: Sequence[int]) -> str:
-    """The final word S_t of the continued-fraction recursion."""
-    return smith_ladder(quotients)[-1]
 
 
 def _least_rotation_index(word: str) -> int:
@@ -208,19 +162,5 @@ def smith_to_mechanical(n: int, k: int) -> str:
     Equals mechanical_word(n, k) exactly, not merely up to rotation. Requires
     a coprime pair.
     """
-    tail = smith_word(smith_quotients(n, k))
+    tail = _smith_ladder(smith_quotients(n, k))[-1]
     return A + tail[:-2] + B
-
-
-def recurrence_reconstruct(quotients: Sequence[int]) -> tuple[int, int]:
-    """Rebuild (n, k) from the Euclidean quotients of a coprime pair.
-
-    Runs a = q * a' + a'' from seeds 0, 1 through the reversed quotient list;
-    the last two values are n and k.
-    """
-    if not quotients or any(q < 1 for q in quotients):
-        raise ValueError("quotients must be positive integers")
-    prev, cur = 0, 1
-    for q in reversed(quotients):
-        prev, cur = cur, q * cur + prev
-    return cur, prev

@@ -1,4 +1,4 @@
-"""Two-letter words, periodic reads, and the mechanical-word generator.
+"""Two-letter words, the mechanical-word generator, and circular windows.
 
 Words are plain Python strings over the alphabet {A, B}. A non-empty word
 doubles as the period of the infinite repetition word*word*word*..., which is
@@ -36,27 +36,6 @@ def parse_word(text: str) -> str:
 def to_bits(word: str) -> str:
     """Render a word as 0/1 digits (A -> 1, B -> 0)."""
     return parse_word(word).translate(_BITS)
-
-
-def weight(u: str) -> int:
-    """Number of letters A in u."""
-    return parse_word(u).count(A)
-
-
-def factor(period: str, start: int, length: int) -> str:
-    """Read `length` letters of the periodic word period*period*... from `start`.
-
-    `length` may exceed the period length; the read wraps around as often as
-    needed.
-    """
-    parse_word(period)
-    if not period:
-        raise ValueError("period must be non-empty")
-    if start < 0 or length < 0:
-        raise ValueError("start and length must be non-negative")
-    n = len(period)
-    s = start % n
-    return (period * _ceil_div(s + length, n))[s:s + length]
 
 
 def _euclid_quotients(n: int, k: int) -> tuple[list[int], int]:

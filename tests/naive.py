@@ -46,21 +46,26 @@ def words_of_weight(n, k):
         yield "".join("A" if i in positions else "B" for i in range(n))
 
 
-def arrange_reference(n, k):
-    """arrange(n, k) grown symbol by symbol through the +/- stage pipeline.
-
-    Runs the Euclidean ladder itself, seeds r[i] blocks "+" "-"*(q[i+1]-1),
-    then for j = i down to 0 maps + -> +-, - -> + and pads every plus with
-    q[j]-1 minuses; finally + reads "AB", - reads "A", and each A gains
-    q[-1]-1 letters B. When k divides n the result is k blocks A B^(n/k-1).
-    """
+def _euclid(n, k):
     quotients, remainders = [], [n, k]
     while remainders[-1]:
         a, b = remainders[-2], remainders[-1]
         quotients.append(a // b)
         remainders.append(a % b)
+    return quotients, remainders
+
+
+def stages_reference(n, k):
+    """The +/- stages behind arrange(n, k), grown symbol by symbol.
+
+    Runs the Euclidean ladder itself, seeds r[i] blocks "+" "-"*(q[i+1]-1),
+    then for j = i down to 0 maps + -> +-, - -> + and pads every plus with
+    q[j]-1 minuses, keeping both sequences of every level. Empty when k
+    divides n.
+    """
+    quotients, remainders = _euclid(n, k)
     if len(quotients) == 1:
-        return ("A" + "B" * (n // k - 1)) * k
+        return []
 
     def q(j):
         return quotients[j + 1]
@@ -70,8 +75,31 @@ def arrange_reference(n, k):
 
     i = len(remainders) - 5  # r[i + 1] == 0
     seq = ("+" + "-" * (q(i + 1) - 1)) * r(i)
+    stages = [seq]
     for j in range(i, -1, -1):
         seq = "".join("+-" if c == "+" else "+" for c in seq)
+        stages.append(seq)
         seq = "".join("+" + "-" * (q(j) - 1) if c == "+" else c for c in seq)
-    word = "".join("AB" if c == "+" else "A" for c in seq)
-    return "".join("A" + "B" * (q(-1) - 1) if c == "A" else c for c in word)
+        stages.append(seq)
+    return stages
+
+
+def arrange_reference(n, k):
+    """arrange(n, k) read off the last stage of stages_reference.
+
+    + reads "AB", - reads "A", and each A gains n//k - 1 letters B (n//k is
+    the first quotient). When k divides n the result is k blocks A B^(n/k-1).
+    """
+    stages = stages_reference(n, k)
+    if not stages:
+        return ("A" + "B" * (n // k - 1)) * k
+    word = "".join("AB" if c == "+" else "A" for c in stages[-1])
+    return "".join("A" + "B" * (n // k - 1) if c == "A" else c for c in word)
+
+
+def from_quotients(quotients):
+    """(n, k) rebuilt from Euclidean quotients by a = q*a' + a'' from seeds 0, 1."""
+    prev, cur = 0, 1
+    for q in reversed(quotients):
+        prev, cur = cur, q * cur + prev
+    return cur, prev

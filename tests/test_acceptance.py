@@ -11,6 +11,7 @@ from math import gcd
 
 import numpy as np
 
+import naive
 from mechwords import (
     AdmissibilityQuery,
     arrange,
@@ -20,10 +21,9 @@ from mechwords import (
     discrepancy,
     euclid_trace,
     mechanical_word,
-    recurrence_reconstruct,
     rotation_equivalent,
+    smith_ladder,
     smith_to_mechanical,
-    smith_word,
 )
 from mechwords.cli import main
 
@@ -81,9 +81,7 @@ def test_2_balance_bounds_full_range():
 def test_3_golden_arrangement_23_10():
     with criterion_line("3 golden example (23, 10)"):
         assert arrange(23, 10) == "ABBABABABABBABABABBABAB"
-        trace = euclid_trace(23, 10)
-        assert trace.quotients == [2, 3, 3]
-        assert trace.remainders == [3, 1, 0]
+        assert euclid_trace(23, 10) == ([2, 3, 3], [3, 1, 0])
 
 
 def test_4_golden_arrangement_87_36():
@@ -93,10 +91,10 @@ def test_4_golden_arrangement_87_36():
         assert word == block * 3
         assert len(block) == 29 and block.count("A") == 12
         assert block == "ABBABAB" "ABBAB" "ABBAB" "ABBABAB" "ABBAB"
-        trace = euclid_trace(87, 36)
-        assert trace.quotients == [2, 2, 2, 2]
-        assert trace.quotient(2) == 2
-        assert trace.gcd == 3
+        quotients, remainders = euclid_trace(87, 36)
+        assert quotients == [2, 2, 2, 2]
+        # the gcd is the last nonzero remainder
+        assert remainders[-2:] == [3, 0]
 
 
 def test_5_three_way_equivalence():
@@ -108,7 +106,7 @@ def test_5_three_way_equivalence():
                     continue
                 built = arrange(n, k)
                 mu = cf_expansion(n, k)
-                from_recursion = smith_word([mu[0] - 1] + mu[1:])
+                from_recursion = smith_ladder([mu[0] - 1] + mu[1:])[-1]
                 mechanical = mechanical_word(n, k)
                 assert rotation_equivalent(built, from_recursion), (n, k)
                 assert rotation_equivalent(built, mechanical), (n, k)
@@ -179,5 +177,5 @@ def test_9_recurrence_round_trip():
         for n in range(2, 501):
             for k in range(1, n):
                 if gcd(n, k) == 1:
-                    quotients = euclid_trace(n, k).quotients
-                    assert recurrence_reconstruct(quotients) == (n, k)
+                    quotients = euclid_trace(n, k)[0]
+                    assert naive.from_quotients(quotients) == (n, k)

@@ -8,20 +8,16 @@ from hypothesis import strategies as st
 
 import naive
 from mechwords import (
-    EuclidStep,
     arrange,
     canonical_rotation,
     cf_expansion,
     check_balance,
     euclid_trace,
     mechanical_word,
-    recurrence_reconstruct,
     rotation_equivalent,
     smith_ladder,
     smith_to_mechanical,
-    smith_word,
     symbol_stages,
-    weight,
 )
 
 ARRANGE_23_10 = "ABBABABABABBABABABBABAB"
@@ -39,33 +35,17 @@ def coprime_pairs(n_max):
 
 
 def test_euclid_trace_23_10():
-    trace = euclid_trace(23, 10)
-    assert trace.steps == (EuclidStep(-1, 2, 3), EuclidStep(0, 3, 1),
-                           EuclidStep(1, 3, 0))
-    assert trace.quotients == [2, 3, 3]
-    assert trace.remainders == [3, 1, 0]
-    assert trace.terminal_index == 0
-    assert trace.gcd == 1
+    assert euclid_trace(23, 10) == ([2, 3, 3], [3, 1, 0])
 
 
 def test_euclid_trace_87_36():
-    trace = euclid_trace(87, 36)
-    assert trace.quotients == [2, 2, 2, 2]
-    assert trace.remainders == [15, 6, 3, 0]
-    assert trace.terminal_index == 1
-    assert trace.gcd == 3
-    assert trace.quotient(2) == 2
-    assert trace.remainder(-3) == 87 and trace.remainder(-2) == 36
+    assert euclid_trace(87, 36) == ([2, 2, 2, 2], [15, 6, 3, 0])
 
 
 def test_euclid_trace_divisible_and_short():
-    trace = euclid_trace(6, 3)
-    assert trace.steps == (EuclidStep(-1, 2, 0),)
-    assert trace.terminal_index == -2
-    assert trace.gcd == 3
-    trace = euclid_trace(10, 4)
-    assert trace.terminal_index == -1
-    assert trace.gcd == 2
+    # one exact division when k divides n, two when the remainder does
+    assert euclid_trace(6, 3) == ([2], [0])
+    assert euclid_trace(10, 4) == ([2, 2], [2, 0])
 
 
 @pytest.mark.parametrize("n, k", [(5, 5), (5, 6), (5, 0), (0, 1), (-3, 1)])
@@ -77,16 +57,15 @@ def test_euclid_trace_rejects(n, k):
 def test_euclid_trace_step_identities():
     for n in range(2, 121):
         for k in range(1, n):
-            trace = euclid_trace(n, k)
-            for step in trace.steps:
-                j = step.index
-                assert trace.remainder(j - 2) == (
-                    step.quotient * trace.remainder(j - 1) + step.remainder)
-                assert 0 <= step.remainder < trace.remainder(j - 1)
-            assert trace.gcd == math.gcd(n, k)
+            quotients, remainders = euclid_trace(n, k)
+            r = [n, k] + remainders
+            assert len(r) == len(quotients) + 2
+            for j, q in enumerate(quotients):
+                assert r[j] == q * r[j + 1] + r[j + 2]
+                assert 0 <= r[j + 2] < r[j + 1]
             d = math.gcd(n, k)
-            if k // d >= 1 and n // d > k // d:
-                assert trace.quotients == cf_expansion(n // d, k // d)
+            assert r[-1] == 0 and r[-2] == d
+            assert quotients == cf_expansion(n // d, k // d)
 
 
 def test_arrange_golden():
@@ -103,7 +82,7 @@ def test_arrange_length_and_weight():
         for k in range(1, n):
             word = arrange(n, k)
             assert len(word) == n
-            assert weight(word) == k
+            assert word.count("A") == k
 
 
 def test_arrange_matches_stage_pipeline():
@@ -132,21 +111,29 @@ def test_symbol_stages_87_36():
 
 
 def test_symbol_stages_obey_ladder_identities():
-    # the seed stage holds r[i-1] symbols, r[i] of them pluses; at each level
-    # j the promotion stage holds r[j] + r[j-1] symbols and the padded stage
-    # r[j-2], both with r[j-1] pluses
+    # over r = [n, k] + remainders, the seed stage holds r[-3] symbols, r[-2]
+    # of them pluses; going back down the ladder, level h (from len(r)-2 to 3)
+    # adds a promotion stage of r[h] + r[h-1] symbols and a padded stage of
+    # r[h-2], both with r[h-1] pluses
     for n in range(2, 300):
         for k in range(1, n):
-            trace = euclid_trace(n, k)
-            i, r = trace.terminal_index, trace.remainder
+            quotients, remainders = euclid_trace(n, k)
+            r = [n, k] + remainders
             stages = symbol_stages(n, k)
-            if i == -2:
+            if len(quotients) == 1:
                 assert stages == []
                 continue
-            expected = [(r(i - 1), r(i))]
-            for j in range(i, -1, -1):
-                expected += [(r(j) + r(j - 1), r(j - 1)), (r(j - 2), r(j - 1))]
+            expected = [(r[-3], r[-2])]
+            for h in range(len(r) - 2, 2, -1):
+                expected += [(r[h] + r[h - 1], r[h - 1]), (r[h - 2], r[h - 1])]
             assert [(len(s), s.count("+")) for s in stages] == expected, (n, k)
+
+
+def test_symbol_stages_match_reference():
+    # byte for byte against the symbol-by-symbol joins, coprime or not
+    for n in range(2, 300):
+        for k in range(1, n):
+            assert symbol_stages(n, k) == naive.stages_reference(n, k), (n, k)
 
 
 def test_symbol_stages_divisible_case_is_empty():
@@ -167,12 +154,12 @@ def test_cf_expansion():
 
 
 def test_smith_word_golden():
-    assert smith_word([1, 3, 3]) == SMITH_1_3_3
-    assert smith_word([1]) == "BA"
-    assert smith_word([2, 2]) == "BBABBAB"
+    assert smith_ladder([1, 3, 3])[-1] == SMITH_1_3_3
+    assert smith_ladder([1])[-1] == "BA"
+    assert smith_ladder([2, 2])[-1] == "BBABBAB"
     # a zero first quotient is what a leading decrement produces
-    assert smith_word([0]) == "A"
-    assert smith_word([0, 2]) == "AAB"
+    assert smith_ladder([0])[-1] == "A"
+    assert smith_ladder([0, 2])[-1] == "AAB"
 
 
 def test_smith_ladder():
@@ -181,20 +168,20 @@ def test_smith_ladder():
 
 def test_smith_word_rejects():
     with pytest.raises(ValueError):
-        smith_word([])
+        smith_ladder([])
     with pytest.raises(ValueError):
-        smith_word([-1])
+        smith_ladder([-1])
     with pytest.raises(ValueError):
-        smith_word([1, 0])
+        smith_ladder([1, 0])
 
 
 def test_smith_length_and_weight():
     # on the continued-fraction quotients of coprime p/q the recursion builds
     # a word of length p + q and weight q
     for p, q in coprime_pairs(60):
-        word = smith_word(cf_expansion(p, q))
+        word = smith_ladder(cf_expansion(p, q))[-1]
         assert len(word) == p + q
-        assert weight(word) == q
+        assert word.count("A") == q
 
 
 @pytest.mark.parametrize("word, expected", [
@@ -275,7 +262,7 @@ def test_three_way_equivalence():
     for n, k in coprime_pairs(80):
         built = arrange(n, k)
         mu = cf_expansion(n, k)
-        from_recursion = smith_word([mu[0] - 1] + mu[1:])
+        from_recursion = smith_ladder([mu[0] - 1] + mu[1:])[-1]
         mechanical = mechanical_word(n, k)
         assert rotation_equivalent(built, from_recursion)
         assert rotation_equivalent(built, mechanical)
@@ -305,16 +292,12 @@ def test_non_coprime_arrangement_is_balanced():
 
 
 def test_recurrence_reconstruct():
-    assert recurrence_reconstruct([2, 3, 3]) == (23, 10)
-    assert recurrence_reconstruct([2]) == (2, 1)
-    assert recurrence_reconstruct([2, 3]) == (7, 3)
-    with pytest.raises(ValueError):
-        recurrence_reconstruct([])
-    with pytest.raises(ValueError):
-        recurrence_reconstruct([2, 0])
+    assert naive.from_quotients([2, 3, 3]) == (23, 10)
+    assert naive.from_quotients([2]) == (2, 1)
+    assert naive.from_quotients([2, 3]) == (7, 3)
 
 
 def test_recurrence_round_trip():
     # n <= 500 runs in the acceptance suite
     for n, k in coprime_pairs(200):
-        assert recurrence_reconstruct(euclid_trace(n, k).quotients) == (n, k)
+        assert naive.from_quotients(euclid_trace(n, k)[0]) == (n, k)

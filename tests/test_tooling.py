@@ -1,11 +1,13 @@
 """Repository rules that the tests enforce."""
 
 import ast
+import doctest
 import importlib
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "mechwords"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "mechwords"
 
 
 def test_no_assert_statements_in_src():
@@ -24,7 +26,7 @@ def test_public_names_and_module_map_resolve():
     import mechwords
 
     missing = [name for name in mechwords.__all__ if not hasattr(mechwords, name)]
-    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     module_map = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
     entries = re.findall(r"^- `mechwords\.(\w+)` —(.*?)(?=^- |\Z)", module_map, re.M | re.S)
     assert entries
@@ -34,3 +36,15 @@ def test_public_names_and_module_map_resolve():
             missing += [f"{module_name}.{name}" for name in listed.split("/")
                         if name.isidentifier() and not hasattr(module, name)]
     assert not missing, f"names that do not resolve: {missing}"
+
+
+def test_readme_quick_start_runs():
+    # the python block under "Library quick start" holds doctest examples; run it
+    # on its own so the closing fence is not read as expected output
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "quick start", "README.md", 0)
+    report = []
+    failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
+    assert attempted and not failed, "".join(report)

@@ -1,24 +1,13 @@
-"""Word primitives: weights, periodic reads, mechanical words, balance."""
+"""Word primitives: parsing, mechanical words, balance."""
 
 import itertools
 from math import gcd
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import naive
-from mechwords import (
-    check_balance,
-    factor,
-    mechanical_word,
-    parse_word,
-    to_bits,
-    weight,
-)
+from mechwords import check_balance, mechanical_word, parse_word, to_bits
 from mechwords.words import _window_weights
-
-words_st = st.text(alphabet="AB", max_size=32)
 
 
 # mechanical-word periods frozen after recomputation from the prefix-count
@@ -33,11 +22,6 @@ MECHANICAL_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("u, expected", [("ABBAB", 2), ("", 0), ("AAAA", 4)])
-def test_weight(u, expected):
-    assert weight(u) == expected
-
-
 def test_parse_word():
     assert parse_word("ABBA") == "ABBA"
     assert parse_word("") == ""
@@ -49,39 +33,6 @@ def test_parse_word():
 def test_to_bits():
     assert to_bits("ABBAB") == "10010"
     assert to_bits("") == ""
-
-
-@given(words_st, words_st)
-def test_weight_adds_under_concat(x, y):
-    assert weight(x + y) == weight(x) + weight(y)
-
-
-@pytest.mark.parametrize("period, start, length, expected", [
-    ("AB", 1, 3, "BAB"),
-    ("ABB", 0, 3, "ABB"),
-    ("ABB", 2, 2, "BA"),
-    ("AB", 0, 5, "ABABA"),
-    ("ABB", 7, 5, "BBABB"),
-    ("A", 3, 0, ""),
-])
-def test_factor(period, start, length, expected):
-    assert factor(period, start, length) == expected
-
-
-def test_factor_rejects_bad_input():
-    with pytest.raises(ValueError):
-        factor("", 0, 1)
-    with pytest.raises(ValueError):
-        factor("AB", -1, 2)
-    with pytest.raises(ValueError):
-        factor("AB", 0, -1)
-
-
-@given(st.text(alphabet="AB", min_size=1, max_size=8),
-       st.integers(0, 40), st.integers(0, 40))
-def test_factor_matches_long_repetition(period, start, length):
-    reference = (period * 100)[start:start + length]
-    assert factor(period, start, length) == reference
 
 
 def test_mechanical_word_golden():
@@ -110,7 +61,7 @@ def test_mechanical_word_weight_length_and_gcd_structure():
         for k in range(1, n + 1):
             word = mechanical_word(n, k)
             assert len(word) == n
-            assert weight(word) == k
+            assert word.count("A") == k
             d = gcd(n, k)
             assert word == mechanical_word(n // d, k // d) * d
 
