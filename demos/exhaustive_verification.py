@@ -34,11 +34,12 @@ for n in range(2, 10):
                     mismatches += 1
 print(f"criterion vs exhaustive search: {cells} cells, {mismatches} mismatches")
 
-# The first witness of a feasible cell, in lexicographic enumeration order.
+# The first witness of a feasible cell. The search walks necklaces (least
+# rotations) in lexicographic order, so it is the least admissible word.
 query = AdmissibilityQuery(12, 4, 7, 2)
 full = brute_force_exists(query)
 print(f"(12, 4, 7, 2): exists={full.exists}, first witness {full.witness} "
-      f"after {full.instances_checked} words")
+      f"after {full.instances_checked} necklaces")
 
 # Three-way equivalence on every coprime pair up to n=40.
 pairs = 0

@@ -26,12 +26,13 @@ print(f"instance: n={query.n}, k={query.k}, s={query.s}, t={query.t}")
 print(f"criterion n*t <= k*s: {query.n * query.t} <= {query.k * query.s}?",
       criterion(query))
 
-# No ordering works. Brute force over all C(10,3) = 120 arrangements agrees,
-# and the pigeonhole certificate shows where any given lineup breaks: the n
-# court loads sum to k*s, so the lightest court holds at most floor(k*s/n).
+# No ordering works. Brute force agrees: rotating a lineup changes nothing, so
+# it tries the 12 necklaces that stand for all C(10,3) = 120 arrangements. The
+# pigeonhole certificate shows where any given lineup breaks: the n court
+# loads sum to k*s, so the lightest court holds at most floor(k*s/n).
 result = brute_force_exists(query)
 print(f"exhaustive search: exists={result.exists} "
-      f"after {result.instances_checked} arrangements")
+      f"after {result.instances_checked} arrangements up to rotation")
 
 bound = query.k * query.s // query.n
 print(f"pigeonhole: every lineup has a court with at most floor(k*s/n) = {bound} "

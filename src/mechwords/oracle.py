@@ -2,14 +2,14 @@
 
 Everything here is deliberately brute force: enumerate, test, report. The
 point is to have an independent answer to compare the nt <= ks criterion and
-the constructions against.
+the constructions against. Admissibility is invariant under rotation, so the
+search walks necklaces (least rotations) rather than all C(n, k) words.
 """
 
-import itertools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .admissibility import AdmissibilityQuery, is_admissible
-from .words import A, B
+from .words import A, B, _window_weights
 
 DEFAULT_CAP = 20
 
@@ -20,26 +20,57 @@ class OracleResult(NamedTuple):
     instances_checked: int
 
 
-def brute_force_exists(
-    query: AdmissibilityQuery,
-    *,
-    cap: int = DEFAULT_CAP,
-) -> OracleResult:
-    """Search every weight-k word of length n for a t-admissible one.
+def _necklaces(n: int, k: int) -> Iterator[str]:
+    # length-n necklaces with k letters A as least rotations (A < B), in
+    # lexicographic order: Fredricksen-Kessler-Maiorana prenecklaces cut to
+    # fixed density (Ruskey-Sawada). Behind the sentinel a[0] = A, position t
+    # copies a[t-p] or, when that is A, takes B and sets p = t. A branch whose A
+    # count cannot end at k is cut; a full prenecklace with p | n is a necklace
+    stack = [(A, 1, 0)]
+    while stack:
+        word, p, weight = stack.pop()
+        t = len(word)
+        if t > n:
+            if n % p == 0:
+                yield word[1:]
+            continue
+        if weight + n - t >= k:
+            stack.append((word + B, t if word[t - p] == A else p, weight))
+        if word[t - p] == A and weight < k:
+            stack.append((word + A, p, weight + 1))
 
-    Enumeration is lexicographic (A sorts before B) and stops at the first
-    hit, so the reported witness is deterministic. The cap guards against
-    combinatorial blowup.
+
+def brute_force_exists(query: AdmissibilityQuery, *,
+                       cap: int = DEFAULT_CAP) -> OracleResult:
+    """Search the weight-k necklaces of length n for a t-admissible one.
+
+    Necklaces come in lexicographic order (A < B); the search stops at the
+    first hit. The least admissible word is its own least rotation, so the
+    witness is the least admissible word of all C(n, k). instances_checked
+    counts the necklaces tried; the cap guards against blowup.
     """
     if query.n > cap:
         raise ValueError(f"n={query.n} is above the brute-force cap {cap}")
     checked = 0
-    for positions in itertools.combinations(range(query.n), query.k):
-        letters = [B] * query.n
-        for i in positions:
-            letters[i] = A
-        word = "".join(letters)
+    for word in _necklaces(query.n, query.k):
         checked += 1
         if is_admissible(word, query.s, query.t):
             return OracleResult(True, word, checked)
     return OracleResult(False, None, checked)
+
+
+def best_min_windows(n: int, k: int, *, cap: int = DEFAULT_CAP) -> list[int]:
+    """Entry s: the largest minimum s-window weight of any weight-k word.
+
+    One necklace pass answers every 1 <= s < n (entry 0 is 0): the cell
+    (n, k, s, t) has a t-admissible arrangement exactly when t <= best[s].
+    """
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    if n > cap:
+        raise ValueError(f"n={n} is above the brute-force cap {cap}")
+    best = [0] * n
+    for word in _necklaces(n, k):
+        for s in range(1, n):
+            best[s] = max(best[s], min(_window_weights(word, s)))
+    return best

@@ -46,6 +46,18 @@ def words_of_weight(n, k):
         yield "".join("A" if i in positions else "B" for i in range(n))
 
 
+def first_admissible(n, k, s, t):
+    """(exists, witness): the first t-admissible word of words_of_weight(n, k).
+
+    The plain combination search: it tries up to all C(n, k) words, so the
+    witness is the lexicographically least admissible word.
+    """
+    for word in words_of_weight(n, k):
+        if admissible(word, s, t):
+            return True, word
+    return False, None
+
+
 def _euclid(n, k):
     quotients, remainders = [], [n, k]
     while remainders[-1]:

@@ -26,6 +26,7 @@ from mechwords import (
     smith_to_mechanical,
 )
 from mechwords.cli import main
+from mechwords.oracle import best_min_windows
 
 
 @contextmanager
@@ -53,17 +54,20 @@ def window_weights_by_length(word, max_m):
 
 
 def test_1_criterion_equals_exhaustive_search():
-    with criterion_line("1 criterion-vs-oracle grid n<=12"):
+    with criterion_line("1 criterion-vs-oracle grid n<=16"):
         cells = 0
-        for n in range(2, 13):
+        for n in range(2, 17):
+            if n == 13:
+                assert cells == 2222  # the n <= 12 grid of `verify`
             for k in range(1, n):
+                best = best_min_windows(n, k)
                 for s in range(1, n):
+                    assert best[s] == k * s // n, (n, k, s)
                     for t in range(0, min(k, s) + 1):
                         query = AdmissibilityQuery(n, k, s, t)
-                        assert brute_force_exists(query).exists == criterion(query), \
-                            f"mismatch at {query}"
+                        assert (t <= best[s]) == criterion(query), f"mismatch at {query}"
                         cells += 1
-        assert cells == 2222
+        assert cells == 6680
 
 
 def test_2_balance_bounds_full_range():
@@ -130,7 +134,7 @@ def test_6_motivating_instance(capsys):
         assert (record["nt"], record["ks"]) == (20, 18)
         result = brute_force_exists(AdmissibilityQuery(10, 3, 6, 2))
         assert not result.exists
-        assert result.instances_checked == 120
+        assert result.instances_checked == 12  # C(10, 3)/10 necklaces
 
 
 def test_7_discrepancy_bound():

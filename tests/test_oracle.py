@@ -1,4 +1,6 @@
-"""Brute-force existence search and the pigeonhole certificate."""
+"""Brute-force existence search, the necklace enumerator, and the pigeonhole certificate."""
+
+from math import comb, gcd
 
 import pytest
 
@@ -14,25 +16,27 @@ from mechwords import (
     min_weight_window,
     rotation_equivalent,
 )
+from mechwords.oracle import _necklaces, best_min_windows
 
 
 def test_motivating_instance_has_no_arrangement():
     result = brute_force_exists(AdmissibilityQuery(10, 3, 6, 2))
-    assert result == OracleResult(False, None, 120)  # C(10, 3) words
+    assert result == OracleResult(False, None, 12)  # C(10, 3)/10 necklaces
 
 
 def test_small_admissible_instance():
     result = brute_force_exists(AdmissibilityQuery(7, 3, 5, 2))
     assert result.exists
-    # lexicographic enumeration makes the first witness deterministic
+    # lexicographic enumeration makes the first witness deterministic: the
+    # fifth of the C(7, 3)/7 = 5 necklaces
     assert result.witness == "ABABABB"
-    assert result.instances_checked == 7
+    assert result.instances_checked == 5
     assert rotation_equivalent(result.witness, "ABABABB")
 
 
 def test_tight_quota_is_impossible():
     result = brute_force_exists(AdmissibilityQuery(4, 2, 2, 2))
-    assert result == OracleResult(False, None, 6)
+    assert result == OracleResult(False, None, 2)  # AABB and ABAB
 
 
 def test_cap_guards_blowup():
@@ -40,6 +44,55 @@ def test_cap_guards_blowup():
         brute_force_exists(AdmissibilityQuery(21, 2, 11, 1))
     # 21*1 <= 2*11, so a witness exists once the cap is raised
     assert brute_force_exists(AdmissibilityQuery(21, 2, 11, 1), cap=25).exists
+
+
+def totient(d):
+    return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+
+
+def test_necklaces_obey_burnside():
+    # one least rotation per rotation class: (1/n) sum over d | gcd(n, k) of
+    # phi(d) C(n/d, k/d) words, strictly increasing
+    for n in range(1, 19):
+        for k in range(0, n + 1):
+            words = list(_necklaces(n, k))
+            g = gcd(n, k)
+            total = sum(totient(d) * comb(n // d, k // d)
+                        for d in range(1, g + 1) if g % d == 0)
+            assert len(words) * n == total, (n, k)
+            assert all(a < b for a, b in zip(words, words[1:])), (n, k)
+            assert all(len(w) == n and w.count("A") == k for w in words), (n, k)
+            if n <= 12:
+                assert all(w == naive.min_rotation(w)[0] for w in words), (n, k)
+
+
+def test_matches_combination_search():
+    # exists and witness byte for byte against the plain C(n, k) walk
+    for n in range(2, 11):
+        for k in range(1, n):
+            for s in range(1, n):
+                for t in range(0, min(k, s) + 1):
+                    result = brute_force_exists(AdmissibilityQuery(n, k, s, t))
+                    assert (result.exists, result.witness) == \
+                        naive.first_admissible(n, k, s, t), (n, k, s, t)
+
+
+def test_best_min_windows_matches_all_words():
+    for n in range(2, 11):
+        for k in range(1, n):
+            words = list(naive.words_of_weight(n, k))
+            expected = [0] + [max(min(naive.windows(w, s)) for w in words)
+                              for s in range(1, n)]
+            assert best_min_windows(n, k) == expected, (n, k)
+
+
+def test_best_min_windows_rejects():
+    for n, k in [(5, 0), (5, 5), (5, 6), (0, 0)]:
+        with pytest.raises(ValueError):
+            best_min_windows(n, k)
+    with pytest.raises(ValueError):
+        best_min_windows(21, 2)
+    assert best_min_windows(21, 2, cap=25)[11] == 1
 
 
 def test_agrees_with_criterion_on_grid():
