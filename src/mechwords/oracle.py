@@ -9,7 +9,7 @@ search walks necklaces (least rotations) rather than all C(n, k) words.
 from typing import Iterator, NamedTuple
 
 from .admissibility import AdmissibilityQuery, is_admissible
-from .words import A, B, _window_weights
+from .words import A, B
 
 DEFAULT_CAP = 20
 
@@ -58,19 +58,3 @@ def brute_force_exists(query: AdmissibilityQuery, *,
             return OracleResult(True, word, checked)
     return OracleResult(False, None, checked)
 
-
-def best_min_windows(n: int, k: int, *, cap: int = DEFAULT_CAP) -> list[int]:
-    """Entry s: the largest minimum s-window weight of any weight-k word.
-
-    One necklace pass answers every 1 <= s < n (entry 0 is 0): the cell
-    (n, k, s, t) has a t-admissible arrangement exactly when t <= best[s].
-    """
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if n > cap:
-        raise ValueError(f"n={n} is above the brute-force cap {cap}")
-    best = [0] * n
-    for word in _necklaces(n, k):
-        for s in range(1, n):
-            best[s] = max(best[s], min(_window_weights(word, s)))
-    return best
