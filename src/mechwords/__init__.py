@@ -9,8 +9,8 @@ The package splits into:
 
 - ``words``: two-letter words, the mechanical-word generator, the circular
   window kernel, and balance checking.
-- ``admissibility``: circular window profiles, the n*t <= k*s criterion, and
-  window discrepancy.
+- ``admissibility``: circular window profiles, the n*t <= k*s criterion,
+  window discrepancy, and the closed-form minimum window of a mechanical word.
 - ``constructions``: the Euclidean quotient-ladder build, the
   continued-fraction word recursion, rotation canonicalization, and the exact
   bridges between all three routes.
@@ -27,6 +27,7 @@ from .admissibility import (
     criterion,
     discrepancy,
     is_admissible,
+    mechanical_window,
     min_weight_window,
     window_weight_profile,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "discrepancy",
     "euclid_trace",
     "is_admissible",
+    "mechanical_window",
     "mechanical_word",
     "min_weight_window",
     "parse_word",

@@ -4,12 +4,16 @@ A circular arrangement of n spots, k of them marked A, is t-admissible for
 window length s when every run of s consecutive spots holds at least t letters
 A. Such an arrangement exists exactly when n*t <= k*s, and the mechanical word
 of slope k/n always works.
+
+On that word no window needs scanning: its length-m windows weigh
+floor(k*m/n) or one more, and `mechanical_window` finds the lightest one by
+integer arithmetic alone.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import _window_weights, mechanical_word, parse_word
+from .words import _check_slope, _window_weights, mechanical_word, parse_word
 
 
 class WindowReport(NamedTuple):
@@ -77,6 +81,41 @@ def _min_window(profile: list[int], m: int) -> WindowReport:
 def min_weight_window(word: str, m: int) -> WindowReport:
     """The minimum-weight circular window of length m (smallest start on ties)."""
     return _min_window(window_weight_profile(word, m), m)
+
+
+def _first_hit(a: int, mod: int, lo: int, hi: int) -> int:
+    # smallest x >= 0 with lo <= (a*x) % mod <= hi, for 0 < a < mod,
+    # 0 < lo <= hi < mod and some x qualifying. If the first multiple of a at
+    # or above lo overshoots hi, [lo, hi] holds no multiple of a, and the x
+    # for a wrap count y exists iff (mod*y) % a lies in [-hi % a, -lo % a]:
+    # the same query on (mod % a, a), one Euclid step down. The least such y
+    # gives x = ceil((lo + mod*y) / a), so the descent unwinds from a stack.
+    stack = []
+    while True:
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        stack.append((a, mod, lo))
+        a, mod, lo, hi = mod % a, a, -hi % a, -lo % a
+    for a, mod, lo in reversed(stack):
+        x = -(-(lo + mod * x) // a)
+    return x
+
+
+def mechanical_window(n: int, k: int, m: int) -> WindowReport:
+    """The lightest length-m window of mechanical_word(n, k), with no word built.
+
+    Equals min_weight_window(mechanical_word(n, k), m), smallest start on
+    ties, for 0 < k <= n and any m >= 1, in O(log n) integer steps. By the
+    ceiling formula the window from i weighs floor(k*m/n) when
+    (-k*i) % n >= (k*m) % n and one more otherwise, so the start is the first
+    such i (0 when n divides k*m).
+    """
+    _check_slope(n, k)
+    if m < 1:
+        raise ValueError(f"window length must be positive, got {m}")
+    r = k * m % n
+    return WindowReport(_first_hit(n - k, n, r, n - 1) if r else 0, m, k * m // n)
 
 
 def is_admissible(word: str, s: int, t: int) -> AdmissibilityVerdict:

@@ -18,7 +18,7 @@ from .admissibility import (
     _min_window,
     construct_admissible,
     criterion,
-    discrepancy,
+    mechanical_window,
     window_weight_profile,
 )
 from .constructions import (
@@ -39,6 +39,11 @@ EXIT_INPUT_ERROR = 1
 EXIT_NEGATIVE = 2
 
 VERIFY_CAP = 200
+# largest n that generate and an admissible plan build a word for: plan peaks
+# at about 116 bytes per letter above the interpreter's 15 MB (the word, its
+# window profile and the rendered output; 132 MB at n = 1e6, 248 MB at 2e6),
+# so one request stays near 1.2 GB at the cap
+WORD_CAP = 10**7
 
 
 class InputError(Exception):
@@ -72,6 +77,11 @@ def _checked(fn, *args):
         raise InputError(str(exc)) from exc
 
 
+def _check_word_cap(n: int) -> None:
+    if n > WORD_CAP:
+        raise InputError(f"n = {n} is above the word cap {WORD_CAP}")
+
+
 def cmd_plan(args) -> int:
     query = _checked(AdmissibilityQuery, args.n, args.k, args.s, args.t)
     nt, ks = query.n * query.t, query.k * query.s
@@ -81,10 +91,11 @@ def cmd_plan(args) -> int:
         record.update(verdict="impossible")
         _emit(args, record, [f"IMPOSSIBLE: nt = {nt} > ks = {ks}"])
         return EXIT_NEGATIVE
+    _check_word_cap(query.n)
     # --canonical is a no-op: the mechanical word is its least rotation
     word = construct_admissible(query)
     profile = window_weight_profile(word, query.s)
-    witness = _min_window(profile, query.s)
+    witness = mechanical_window(query.n, query.k, query.s)
     shown = _rendered(word, args)
     record.update(verdict="admissible", word=shown, profile=profile,
                   witness_start=witness.start, witness_weight=witness.weight)
@@ -100,6 +111,7 @@ def cmd_plan(args) -> int:
 def cmd_generate(args) -> int:
     n, k = args.n, args.k
     _checked(_check_pair, n, k)
+    _check_word_cap(n)
     record = {"command": "generate", "n": n, "k": k, "method": args.method}
     lines = []
     if args.method == "mechanical":
@@ -246,9 +258,11 @@ def cmd_discrepancy(args) -> int:
     _checked(_check_pair, n, k)
     if not 1 <= m <= n:
         raise InputError(f"m must be in 1..{n}, got {m}")
-    word = mechanical_word(n, k)
-    value = discrepancy(word, m)
-    floor_term = (m * k) // n
+    # the mechanical word's windows weigh floor(m*k/n) or ceil(m*k/n), both
+    # attained, so no word is built
+    floor_term = mechanical_window(n, k, m).weight
+    ceil_term = -(-m * k // n)
+    value = max(abs(2 * floor_term - m), abs(2 * ceil_term - m))
     bound = m - 2 * floor_term
     applies = 2 * k <= n
     record = {"command": "discrepancy", "n": n, "k": k, "m": m,

@@ -24,6 +24,12 @@ def _ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
+def _check_slope(n: int, k: int) -> None:
+    # the domain of a mechanical word of slope k/n
+    if n < 1 or k < 1 or k > n:
+        raise ValueError(f"slope k/n needs 0 < k <= n, got k={k}, n={n}")
+
+
 def parse_word(text: str) -> str:
     """Validate a word over {A, B}; every other character is rejected."""
     bad = set(text) - ALPHABET
@@ -67,8 +73,7 @@ def mechanical_word(n: int, k: int) -> str:
     For k < n it is smith_to_mechanical(n/g, k/g) repeated g = gcd(n, k)
     times: the upper Christoffel word or its power, the least rotation (A < B).
     """
-    if n < 1 or k < 1 or k > n:
-        raise ValueError(f"slope k/n needs 0 < k <= n, got k={k}, n={n}")
+    _check_slope(n, k)
     if k == n:
         return A * n
     quotients, g = _euclid_quotients(n, k)

@@ -136,18 +136,21 @@ def test_6_motivating_instance(capsys):
 
 
 def test_7_discrepancy_bound():
-    with criterion_line("7 discrepancy bound k<=n/2, n<=120"):
-        observed_violations = 0  # k > n/2 regime, reported but not asserted
+    with criterion_line("7 discrepancy closed form all k, bound k<=n/2, n<=120"):
+        above_bound = 0  # k > n/2: window lengths whose value exceeds the bound
         for n in range(1, 121):
+            ms = np.arange(1, n + 1)
             for k in range(1, n + 1):
                 weights = window_weights_by_length(mechanical_word(n, k), n)
-                ms = np.arange(1, n + 1)
                 disc = np.abs(2 * weights - ms[:, None]).max(axis=1)
-                bound = ms - 2 * ((ms * k) // n)
+                low, high = (ms * k) // n, -((-ms * k) // n)
+                closed = np.maximum(np.abs(2 * low - ms), np.abs(2 * high - ms))
+                assert (disc == closed).all(), (n, k)
+                bound = ms - 2 * low
                 if 2 * k <= n:
                     assert (disc <= bound).all(), (n, k)
                 else:
-                    observed_violations += int((disc > bound).sum())
+                    above_bound += int((disc > bound).sum())
         # the library's own operation agrees with the enumeration
         for n in range(1, 41):
             for k in range(1, n + 1):
@@ -157,8 +160,8 @@ def test_7_discrepancy_bound():
                 disc = np.abs(2 * weights - ms[:, None]).max(axis=1)
                 for m in range(1, n + 1):
                     assert discrepancy(word, m) == disc[m - 1]
-        print(f"\n  (k > n/2 regime: {observed_violations} window lengths "
-              "exceed the bound; not asserted)")
+        print(f"\n  (k > n/2 regime: {above_bound} window lengths exceed "
+              "m - 2*floor(m*k/n); the exact closed form holds there too)")
 
 
 def test_8_non_coprime_periodicity():

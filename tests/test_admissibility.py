@@ -10,6 +10,7 @@ from mechwords import (
     criterion,
     discrepancy,
     is_admissible,
+    mechanical_window,
     mechanical_word,
     min_weight_window,
     rotation_equivalent,
@@ -44,6 +45,63 @@ def test_window_weight_profile_range(m):
 def test_min_weight_window_takes_smallest_start():
     assert min_weight_window("ABAB", 1) == WindowReport(1, 1, 0)
     assert min_weight_window("AAABBBBBBB", 6) == WindowReport(3, 6, 0)
+
+
+def ceiling_weights(n, k, m, starts):
+    # window weights of the slope-k/n word from the ceiling formula alone:
+    # the window from i holds ceil(k*(i+m)/n) - ceil(k*i/n) letters A
+    return [-(-k * (i + m) // n) + (k * i // -n) for i in starts]
+
+
+def test_mechanical_window_matches_ceiling_formula():
+    for n in range(1, 50):
+        for k in range(1, n + 1):
+            prefix = [-(-k * i // n) for i in range(3 * n + 1)]
+            for m in range(1, 2 * n + 1):
+                weights = [prefix[i + m] - prefix[i] for i in range(n)]
+                low = min(weights)
+                assert mechanical_window(n, k, m) == WindowReport(
+                    weights.index(low), m, low), (n, k, m)
+
+
+def test_mechanical_window_matches_enumeration():
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            word = mechanical_word(n, k)
+            for m in range(1, 2 * n + 1):
+                weights = naive.windows(word, m)
+                low = min(weights)
+                assert mechanical_window(n, k, m) == WindowReport(
+                    weights.index(low), m, low), (n, k, m)
+
+
+# consecutive Fibonacci numbers: every Euclid quotient is 1, the deepest descent
+FIB_87, FIB_88 = 679891637638612258, 1100087778366101931
+
+
+@pytest.mark.parametrize("n, k, m", [
+    (10**18 + 9, 381966011250105151, 333333333333333333),
+    (10**18 + 9, 2, (10**18 + 8) // 2),   # lightest window starts near n/2
+    (10**18 + 9, 10**18 + 8, 10**18 + 10),
+    (10**18 + 9, 3, 7),
+    (FIB_88, FIB_87, 12345),
+    (FIB_88, FIB_87, FIB_87),
+    (FIB_88, FIB_88 - FIB_87, 10**17 + 3),
+])
+def test_mechanical_window_at_huge_n(n, k, m):
+    window = mechanical_window(n, k, m)
+    assert window.length == m and window.weight == k * m // n
+    assert 0 <= window.start < n
+    assert ceiling_weights(n, k, m, [window.start]) == [window.weight]
+    # no earlier start among the first few thousand is as light
+    earlier = range(min(window.start, 5000))
+    assert window.weight not in ceiling_weights(n, k, m, earlier)
+
+
+@pytest.mark.parametrize("n, k, m", [(5, 0, 2), (5, 6, 2), (5, 2, 0), (0, 0, 1), (5, -1, 2)])
+def test_mechanical_window_rejects_outside_domain(n, k, m):
+    with pytest.raises(ValueError):
+        mechanical_window(n, k, m)
 
 
 def test_is_admissible_examples():

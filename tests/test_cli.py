@@ -287,6 +287,78 @@ def test_discrepancy_heavy_words_are_flagged(capsys):
     assert "not asserted for k > n/2" in out
 
 
+def test_discrepancy_builds_no_word(capsys, monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("discrepancy must not build a word")
+
+    monkeypatch.setattr(cli, "mechanical_word", refuse)
+    code, out, _ = run(capsys, "discrepancy", "23", "10", "7")
+    assert code == 0
+    assert out == ("discrepancy: 1\nbound: m - 2*floor(m*k/n) = 7 - 2*3 = 1\n"
+                   "bound applies (k <= n/2)\n")
+
+
+def test_discrepancy_matches_window_scan(capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n in range(2, 25):
+        for k in range(1, n):
+            word = words.mechanical_word(n, k)
+            for m in range(1, n + 1):
+                code, record, _ = machine(capsys, "discrepancy", str(n), str(k), str(m))
+                assert code == 0
+                expected = max(abs(2 * w - m) for w in naive.windows(word, m))
+                assert record["discrepancy"] == expected, (n, k, m)
+
+
+def test_discrepancy_at_huge_n(capsys):
+    n, k, m = 10**18, 381966011250105151, 333333333333333333
+    code, record, _ = machine(capsys, "discrepancy", str(n), str(k), str(m))
+    assert code == 0
+    low, high = k * m // n, -(-k * m // n)
+    assert record["discrepancy"] == max(abs(2 * low - m), abs(2 * high - m))
+    assert record["bound"] == m - 2 * low
+
+
+def test_plan_witness_is_first_minimum_window(capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n in range(2, 24):
+        for k in range(1, n):
+            for s in range(1, n):
+                for t in range(k * s // n + 1):
+                    code, record, _ = machine(capsys, "plan", str(n), str(k), str(s), str(t))
+                    assert code == 0
+                    weights = naive.windows(record["word"], s)
+                    low = min(weights)
+                    assert (record["witness_start"], record["witness_weight"]) == (
+                        weights.index(low), low), (n, k, s, t)
+
+
+def test_word_building_commands_stop_at_the_cap(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no word may be built above the cap")
+
+    for module, name in ((cli, "mechanical_word"), (cli, "arrange"),
+                         (cli, "smith_ladder"), (admissibility, "mechanical_word")):
+        monkeypatch.setattr(module, name, refuse)
+    n = 10**12
+    for argv in (["generate", str(n), "381966011251"],
+                 ["generate", str(n), "381966011251", "--method", "euclid", "--verbose"],
+                 ["generate", str(n), "381966011251", "--method", "smith"],
+                 ["plan", str(n), "381966011251", "333333333333", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: n = {n} is above the word cap {cli.WORD_CAP}\n"
+    # verdicts that need no word stay uncapped
+    code, out, _ = run(capsys, "plan", str(n), "3", "1000", "1")
+    assert code == 2 and out.startswith("IMPOSSIBLE")
+    code, record, _ = machine(capsys, "discrepancy", str(n), "3", "1000")
+    assert code == 0 and record["discrepancy"] == 1000
+    # the benchmark's sizes, up to 1e6, sit far below the cap
+    assert cli.WORD_CAP >= 10 * 10**6
+
+
 def test_discrepancy_rejects_bad_window(capsys):
     code, _, err = run(capsys, "discrepancy", "4", "2", "5")
     assert code == 1 and "m must be in 1..4" in err

@@ -48,3 +48,30 @@ def test_readme_quick_start_runs():
     report = []
     failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
     assert attempted and not failed, "".join(report)
+
+
+def test_readme_cli_transcript_runs(capsys, monkeypatch):
+    # every "$ mechwords ..." line of the command-line section prints the lines
+    # shown under it and exits with the status of its "# exit N" comment (0
+    # when there is none)
+    from mechwords import cli
+
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    transcript = [chunk.splitlines() for chunk in block.split("$ mechwords ")[1:]]
+    assert transcript
+    for command, *shown in transcript:
+        expected_code, lines = 0, []
+        for line in shown:
+            line, _, status = line.partition("# exit ")
+            if status:
+                expected_code = int(status)
+            if line.strip():
+                lines.append(line.rstrip())
+        code = cli.main(command.split())
+        captured = capsys.readouterr()
+        assert (code, (captured.out + captured.err).splitlines()) == (
+            expected_code, lines), command
