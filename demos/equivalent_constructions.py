@@ -10,18 +10,17 @@ around a circle of n spots:
 3. take one period of the mechanical word of slope k/n.
 
 For coprime (n, k) all three give the same circular arrangement, and the
-recursion route can be massaged into the mechanical word letter for letter.
+recursion's word, closed up as A...B, is the mechanical word letter for letter.
 """
 
 from mechwords import (
     arrange,
     canonical_rotation,
-    cf_expansion,
     euclid_trace,
     mechanical_word,
     rotation_equivalent,
     smith_ladder,
-    smith_to_mechanical,
+    smith_quotients,
     symbol_stages,
 )
 
@@ -36,9 +35,8 @@ built = arrange(n, k)
 print("arrange:   ", built)
 
 # Route 2: the word recursion on the leading-decremented quotients.
-mu = cf_expansion(n, k)
-decremented = [mu[0] - 1] + mu[1:]
-print(f"\nquotients {mu} -> decremented {decremented}")
+decremented = smith_quotients(n, k)
+print(f"\nquotients {quotients} -> decremented {decremented}")
 for idx, word in enumerate(smith_ladder(decremented), 1):
     print(f"  S_{idx} = {word}")
 recursion = smith_ladder(decremented)[-1]
@@ -56,8 +54,9 @@ print("canonical form:", canonical_rotation(built)[0])
 
 # The recursion output, trimmed by two letters and closed up as A...B,
 # reproduces the mechanical word exactly.
-print("exact bridge: ", smith_to_mechanical(n, k))
-print("letter-for-letter equal:", smith_to_mechanical(n, k) == mechanical)
+closed = "A" + recursion[:-2] + "B"
+print("closed up: ", closed)
+print("letter-for-letter equal:", closed == mechanical)
 
 # Non-coprime pairs fall apart into gcd(n, k) identical sections.
 word = arrange(87, 36)

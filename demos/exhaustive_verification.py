@@ -14,12 +14,12 @@ from mechwords import (
     AdmissibilityQuery,
     arrange,
     brute_force_exists,
-    cf_expansion,
     check_balance,
     criterion,
     mechanical_word,
     rotation_equivalent,
     smith_ladder,
+    smith_quotients,
 )
 
 # Criterion versus exhaustive search over every (n, k, s, t) cell up to n=9.
@@ -47,9 +47,8 @@ for n in range(2, 41):
     for k in range(1, n):
         if gcd(n, k) != 1:
             continue
-        mu = cf_expansion(n, k)
         assert rotation_equivalent(arrange(n, k), mechanical_word(n, k))
-        recursion = smith_ladder([mu[0] - 1] + mu[1:])[-1]
+        recursion = smith_ladder(smith_quotients(n, k))[-1]
         assert rotation_equivalent(arrange(n, k), recursion)
         pairs += 1
 print(f"three-way equivalence: {pairs} coprime pairs OK")

@@ -12,8 +12,8 @@ The package splits into:
 - ``admissibility``: circular window profiles, the n*t <= k*s criterion,
   window discrepancy, and the closed-form minimum window of a mechanical word.
 - ``constructions``: the Euclidean quotient-ladder build, the
-  continued-fraction word recursion, rotation canonicalization, and the exact
-  bridges between all three routes.
+  continued-fraction word recursion and its quotients, and rotation
+  canonicalization.
 - ``oracle``: brute-force enumeration used as ground truth.
 - ``cli``: the ``mechwords`` command (plan, generate, check, verify,
   discrepancy).
@@ -34,12 +34,10 @@ from .admissibility import (
 from .constructions import (
     arrange,
     canonical_rotation,
-    cf_expansion,
     euclid_trace,
     rotation_equivalent,
     smith_ladder,
     smith_quotients,
-    smith_to_mechanical,
     symbol_stages,
 )
 from .oracle import OracleResult, brute_force_exists
@@ -66,7 +64,6 @@ __all__ = [
     "arrange",
     "brute_force_exists",
     "canonical_rotation",
-    "cf_expansion",
     "check_balance",
     "construct_admissible",
     "criterion",
@@ -80,7 +77,6 @@ __all__ = [
     "rotation_equivalent",
     "smith_ladder",
     "smith_quotients",
-    "smith_to_mechanical",
     "symbol_stages",
     "to_bits",
     "window_weight_profile",

@@ -3,9 +3,7 @@
 Three routes produce the same necklace for coprime (n, k): the quotient-ladder
 build (`arrange`), the continued-fraction word recursion (`smith_ladder`),
 and the mechanical word. All three build by string doubling, one step per
-quotient. Rotation utilities make "same necklace" checkable, and
-`smith_to_mechanical` ties the recursion to the mechanical word letter for
-letter.
+quotient. Rotation utilities make "same necklace" checkable.
 """
 
 from typing import Sequence
@@ -79,26 +77,14 @@ def arrange(n: int, k: int) -> str:
     return minus * g
 
 
-def cf_expansion(p: int, q: int) -> list[int]:
-    """Continued-fraction quotients of p/q, for coprime p > q >= 1.
-
-    These are exactly the quotients of the Euclidean algorithm; no tail
-    normalization is applied, so a = q*a' + a'' run back through them from
-    the seeds 0, 1 gives (p, q).
-    """
-    if q < 1 or p <= q:
-        raise ValueError(f"need p > q >= 1, got p={p}, q={q}")
-    quotients, g = _euclid_quotients(p, q)
-    if g != 1:
-        raise ValueError(f"p and q not coprime (gcd {g})")
-    return quotients
-
-
 def smith_quotients(n: int, k: int) -> list[int]:
     """Quotients of coprime n/k with the first lowered by 1, for Smith's length-n word."""
     _check_pair(n, k)
-    mu = cf_expansion(n, k)  # rejects non-coprime pairs
-    return [mu[0] - 1] + mu[1:]
+    quotients, g = _euclid_quotients(n, k)
+    if g != 1:
+        raise ValueError(f"n and k not coprime (gcd {g})")
+    quotients[0] -= 1
+    return quotients
 
 
 def smith_ladder(quotients: Sequence[int]) -> list[str]:
@@ -152,15 +138,3 @@ def rotation_equivalent(w1: str, w2: str) -> bool:
     parse_word(w2)
     # same length and same canonical rotation <=> w2 occurs in w1 doubled
     return len(w1) == len(w2) and w2 in w1 + w1
-
-
-def smith_to_mechanical(n: int, k: int) -> str:
-    """Rebuild the slope-k/n mechanical word from the recursion, letter for letter.
-
-    Evaluates the recursion on smith_quotients(n, k) (the resulting word has
-    length exactly n), drops its final two letters, and closes up as A...B.
-    Equals mechanical_word(n, k) exactly, not merely up to rotation. Requires
-    a coprime pair.
-    """
-    tail = _smith_ladder(smith_quotients(n, k))[-1]
-    return A + tail[:-2] + B

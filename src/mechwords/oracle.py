@@ -11,7 +11,8 @@ from typing import Iterator, NamedTuple
 from .admissibility import AdmissibilityQuery, is_admissible
 from .words import A, B
 
-DEFAULT_CAP = 20
+# largest n the search takes
+CAP = 20
 
 
 class OracleResult(NamedTuple):
@@ -40,17 +41,17 @@ def _necklaces(n: int, k: int) -> Iterator[str]:
             stack.append((word + A, p, weight + 1))
 
 
-def brute_force_exists(query: AdmissibilityQuery, *,
-                       cap: int = DEFAULT_CAP) -> OracleResult:
+def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
     """Search the weight-k necklaces of length n for a t-admissible one.
 
     Necklaces come in lexicographic order (A < B); the search stops at the
     first hit. The least admissible word is its own least rotation, so the
     witness is the least admissible word of all C(n, k). instances_checked
-    counts the necklaces tried; the cap guards against blowup.
+    counts the necklaces tried. A query with n above CAP is refused, which
+    guards against blowup.
     """
-    if query.n > cap:
-        raise ValueError(f"n={query.n} is above the brute-force cap {cap}")
+    if query.n > CAP:
+        raise ValueError(f"n={query.n} is above the brute-force cap {CAP}")
     checked = 0
     for word in _necklaces(query.n, query.k):
         checked += 1

@@ -19,11 +19,6 @@ _BITS = str.maketrans(A + B, "10")
 _BYTES = bytes.maketrans(b"AB", b"\x01\x00")
 
 
-def _ceil_div(a: int, b: int) -> int:
-    # exact ceiling of a/b for a >= 0, b >= 1
-    return (a + b - 1) // b
-
-
 def _check_slope(n: int, k: int) -> None:
     # the domain of a mechanical word of slope k/n
     if n < 1 or k < 1 or k > n:
@@ -70,8 +65,9 @@ def mechanical_word(n: int, k: int) -> str:
     so every prefix of length m holds exactly ceil(k*m/n) letters A and the
     full period has weight k. The pair is taken as given, not reduced:
     mechanical_word(4, 2) is "ABAB", two repeats of the slope-1/2 period.
-    For k < n it is smith_to_mechanical(n/g, k/g) repeated g = gcd(n, k)
-    times: the upper Christoffel word or its power, the least rotation (A < B).
+    For k < n it is Smith's word on smith_quotients(n/g, k/g), its last two
+    letters dropped and closed up as A...B, repeated g = gcd(n, k) times: the
+    upper Christoffel word or its power, the least rotation (A < B).
     """
     _check_slope(n, k)
     if k == n:
@@ -122,7 +118,7 @@ def check_balance(period: str, m: int) -> BalanceCheck:
     if m < 1:
         raise ValueError("factor length must be positive")
     n, k = len(period), period.count(A)
-    low, high = (m * k) // n, _ceil_div(m * k, n)
+    low, high = (m * k) // n, -(-m * k // n)
     weights = _window_weights(period, m)
     if low <= min(weights) and max(weights) <= high:
         return BalanceCheck(True, None, None, low, high)

@@ -16,14 +16,13 @@ from mechwords import (
     AdmissibilityQuery,
     arrange,
     brute_force_exists,
-    cf_expansion,
     criterion,
     discrepancy,
     euclid_trace,
     mechanical_word,
     rotation_equivalent,
     smith_ladder,
-    smith_to_mechanical,
+    smith_quotients,
 )
 from mechwords.cli import main
 
@@ -107,13 +106,18 @@ def test_5_three_way_equivalence():
                 if gcd(n, k) != 1:
                     continue
                 built = arrange(n, k)
-                mu = cf_expansion(n, k)
-                from_recursion = smith_ladder([mu[0] - 1] + mu[1:])[-1]
+                from_recursion = smith_ladder(smith_quotients(n, k))[-1]
                 mechanical = mechanical_word(n, k)
                 assert rotation_equivalent(built, from_recursion), (n, k)
                 assert rotation_equivalent(built, mechanical), (n, k)
                 assert rotation_equivalent(from_recursion, mechanical), (n, k)
-                assert smith_to_mechanical(n, k) == mechanical, (n, k)
+                # closed up as A...B, the recursion's word has the ceiling
+                # formula's prefix counts: ceil(k*i/n) letters A in i letters
+                closed = "A" + from_recursion[:-2] + "B"
+                assert len(closed) == n, (n, k)
+                prefix = np.cumsum([0] + [c == "A" for c in closed])
+                assert (prefix == -((-k * np.arange(n + 1)) // n)).all(), (n, k)
+                assert closed == mechanical, (n, k)
                 pairs += 1
         assert pairs == sum(1 for n in range(2, 201) for k in range(1, n)
                             if gcd(n, k) == 1)

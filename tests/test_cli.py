@@ -206,19 +206,27 @@ def test_verify_small(capsys):
 
 
 def test_verify_checks_mechanical_word_against_ceiling_formula(capsys, monkeypatch):
-    # a rotated mechanical word passes every rotation and balance check and
-    # equals a rotated Smith word; only the ceiling formula catches it
-    mechanical_word = cli.mechanical_word
+    # a mechanical word rotated to another A...B rotation, with the recursion's
+    # word rotated to close up to it, passes every rotation, balance and
+    # closing-up check; only the ceiling formula catches it
+    mechanical_word, smith_ladder = cli.mechanical_word, cli.smith_ladder
 
-    def rotated(n, k):
-        word = mechanical_word(n, k)
-        return word[1:] + word[:1]
+    def rotated(word):
+        j = word.find("BA") + 1
+        return word[j:] + word[:j]
 
-    monkeypatch.setattr(cli, "mechanical_word", rotated)
-    monkeypatch.setattr(cli, "smith_to_mechanical", rotated)
+    def rotated_ladder(quotients):
+        ladder = smith_ladder(quotients)
+        word = rotated("A" + ladder[-1][:-2] + "B")
+        return ladder[:-1] + [word[1:] + word[:1]]
+
+    monkeypatch.setattr(cli, "mechanical_word",
+                        lambda n, k: rotated(mechanical_word(n, k)))
+    monkeypatch.setattr(cli, "smith_ladder", rotated_ladder)
     code, record, _ = machine(capsys, "verify", "8")
     assert code == 2
     assert record["verdict"] == "fail"
+    assert record["failures"]
     assert all(f.startswith("equivalence") for f in record["failures"])
 
 

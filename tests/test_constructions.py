@@ -10,13 +10,12 @@ import naive
 from mechwords import (
     arrange,
     canonical_rotation,
-    cf_expansion,
     check_balance,
     euclid_trace,
     mechanical_word,
     rotation_equivalent,
     smith_ladder,
-    smith_to_mechanical,
+    smith_quotients,
     symbol_stages,
 )
 
@@ -65,7 +64,7 @@ def test_euclid_trace_step_identities():
                 assert 0 <= r[j + 2] < r[j + 1]
             d = math.gcd(n, k)
             assert r[-1] == 0 and r[-2] == d
-            assert quotients == cf_expansion(n // d, k // d)
+            assert quotients == euclid_trace(n // d, k // d)[0]
 
 
 def test_arrange_golden():
@@ -141,16 +140,21 @@ def test_symbol_stages_divisible_case_is_empty():
     assert symbol_stages(9, 1) == []
 
 
-def test_cf_expansion():
-    assert cf_expansion(23, 10) == [2, 3, 3]
-    assert cf_expansion(7, 3) == [2, 3]
-    assert cf_expansion(5, 1) == [5]
-    with pytest.raises(ValueError):
-        cf_expansion(6, 3)
-    with pytest.raises(ValueError):
-        cf_expansion(3, 7)
-    with pytest.raises(ValueError):
-        cf_expansion(3, 0)
+def test_smith_quotients_golden():
+    assert smith_quotients(23, 10) == [1, 3, 3]
+    assert smith_quotients(7, 3) == [1, 3]
+    assert smith_quotients(5, 1) == [4]
+    # the recursion's word closed up as A...B is the mechanical word
+    assert "A" + smith_ladder(smith_quotients(7, 3))[-1][:-2] + "B" == "ABABABB"
+    assert "A" + smith_ladder(smith_quotients(2, 1))[-1][:-2] + "B" == "AB"
+
+
+def test_smith_quotients_rejects():
+    with pytest.raises(ValueError, match=r"n and k not coprime \(gcd 3\)"):
+        smith_quotients(6, 3)
+    for n, k in [(3, 7), (3, 0), (5, 5)]:
+        with pytest.raises(ValueError):
+            smith_quotients(n, k)
 
 
 def test_smith_word_golden():
@@ -179,7 +183,7 @@ def test_smith_length_and_weight():
     # on the continued-fraction quotients of coprime p/q the recursion builds
     # a word of length p + q and weight q
     for p, q in coprime_pairs(60):
-        word = smith_ladder(cf_expansion(p, q))[-1]
+        word = smith_ladder(euclid_trace(p, q)[0])[-1]
         assert len(word) == p + q
         assert word.count("A") == q
 
@@ -241,28 +245,11 @@ def test_rotation_equivalent_is_equivalence(word, i, j):
     assert rotation_equivalent(r1, r2)
 
 
-def test_smith_to_mechanical_golden():
-    assert smith_to_mechanical(23, 10) == mechanical_word(23, 10)
-    assert smith_to_mechanical(2, 1) == "AB"
-    assert smith_to_mechanical(7, 3) == "ABABABB"
-
-
-def test_smith_to_mechanical_rejects_non_coprime():
-    with pytest.raises(ValueError, match="gcd 3"):
-        smith_to_mechanical(6, 3)
-
-
-def test_smith_to_mechanical_exact_identity():
-    for n, k in coprime_pairs(60):
-        assert smith_to_mechanical(n, k) == mechanical_word(n, k)
-
-
 def test_three_way_equivalence():
     # full n <= 200 range runs in the acceptance suite
     for n, k in coprime_pairs(80):
         built = arrange(n, k)
-        mu = cf_expansion(n, k)
-        from_recursion = smith_ladder([mu[0] - 1] + mu[1:])[-1]
+        from_recursion = smith_ladder(smith_quotients(n, k))[-1]
         mechanical = mechanical_word(n, k)
         assert rotation_equivalent(built, from_recursion)
         assert rotation_equivalent(built, mechanical)

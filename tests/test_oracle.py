@@ -40,10 +40,11 @@ def test_tight_quota_is_impossible():
 
 
 def test_cap_guards_blowup():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="above the brute-force cap 20"):
         brute_force_exists(AdmissibilityQuery(21, 2, 11, 1))
-    # 21*1 <= 2*11, so a witness exists once the cap is raised
-    assert brute_force_exists(AdmissibilityQuery(21, 2, 11, 1), cap=25).exists
+    # n = 20 is the largest size the search takes; 20*1 <= 2*10
+    result = brute_force_exists(AdmissibilityQuery(20, 2, 10, 1))
+    assert result.exists and result.instances_checked == 10
 
 
 def totient(d):

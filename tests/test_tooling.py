@@ -21,8 +21,8 @@ def test_no_assert_statements_in_src():
 
 
 def test_public_names_and_module_map_resolve():
-    # every exported name exists, and every name the README's module map
-    # lists under a module is defined on that module
+    # every exported name exists and is listed in the README's module map, and
+    # every name the map lists under a module is defined on that module
     import mechwords
 
     missing = [name for name in mechwords.__all__ if not hasattr(mechwords, name)]
@@ -30,12 +30,17 @@ def test_public_names_and_module_map_resolve():
     module_map = readme.split("## Module map", 1)[1].split("\n## ", 1)[0]
     entries = re.findall(r"^- `mechwords\.(\w+)` —(.*?)(?=^- |\Z)", module_map, re.M | re.S)
     assert entries
+    mapped = set()
     for module_name, text in entries:
         module = importlib.import_module(f"mechwords.{module_name}")
         for listed in re.findall(r"`([^`]+)`", text):
-            missing += [f"{module_name}.{name}" for name in listed.split("/")
-                        if name.isidentifier() and not hasattr(module, name)]
+            names = [name for name in listed.split("/") if name.isidentifier()]
+            mapped.update(names)
+            missing += [f"{module_name}.{name}" for name in names
+                        if not hasattr(module, name)]
     assert not missing, f"names that do not resolve: {missing}"
+    unmapped = [name for name in mechwords.__all__ if name not in mapped]
+    assert not unmapped, f"exported names missing from the module map: {unmapped}"
 
 
 def test_readme_quick_start_runs():
