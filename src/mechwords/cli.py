@@ -11,6 +11,7 @@ import json
 import sys
 from itertools import accumulate
 from math import gcd
+from operator import sub
 from typing import Sequence
 
 from .admissibility import (
@@ -31,7 +32,7 @@ from .constructions import (
     symbol_stages,
 )
 from .oracle import brute_force_exists
-from .words import check_balance, mechanical_word, parse_word, to_bits
+from .words import _BYTES, check_balance, mechanical_word, parse_word, to_bits
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -211,14 +212,20 @@ def _verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
                     if brute_force_exists(query).exists != criterion(query):
                         failures.append(f"criterion n={n} k={k} s={s} t={t}")
 
-    # balance bounds of every mechanical word, window lengths up to 2n
+    # balance bounds of every mechanical word, window lengths up to 2n: one
+    # prefix-count table over three periods holds every window's weight as
+    # prefix[i + m] - prefix[i], so each m compares the n starts against the
+    # bounds, and check_balance reports a length that fails
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             word = mechanical_word(n, k)
+            prefix = list(accumulate((word * 3).encode().translate(_BYTES), initial=0))
+            starts, weight = prefix[:n], prefix[n]
             for m in range(1, 2 * n + 1):
                 counts["balance_checks"] += 1
-                result = check_balance(word, m)
-                if not result:
+                bounds = {m * weight // n, -(-m * weight // n)}
+                if not set(map(sub, prefix[m:m + n], starts)) <= bounds:
+                    result = check_balance(word, m)
                     failures.append(
                         f"balance n={n} k={k} m={m}: window at start "
                         f"{result.start} has weight {result.weight}, "

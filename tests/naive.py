@@ -5,6 +5,7 @@ full searches) so test expectations never depend on the code paths they check.
 """
 
 import itertools
+from math import gcd
 
 
 def windows(word, m):
@@ -23,6 +24,11 @@ def balance_ok(word, m):
     low = (m * k) // n
     high = -((-m * k) // n)
     return all(low <= w <= high for w in windows(word, m))
+
+
+def totient(n):
+    """Euler's phi by counting the i <= n coprime to n."""
+    return sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
 
 
 def min_rotation(word):

@@ -230,6 +230,37 @@ def test_verify_checks_mechanical_word_against_ceiling_formula(capsys, monkeypat
     assert all(f.startswith("equivalence") for f in record["failures"])
 
 
+def test_verify_reports_unbalanced_word_through_check_balance(capsys, monkeypatch):
+    # AAABBB has the weight of the (6, 3) mechanical word but is unbalanced;
+    # (6, 3) is not coprime, so only the balance sweep sees it, and every
+    # failing length is reported with check_balance's first bad window
+    mechanical_word = cli.mechanical_word
+    monkeypatch.setattr(cli, "mechanical_word",
+                        lambda n, k: "AAABBB" if (n, k) == (6, 3) else mechanical_word(n, k))
+    code, record, _ = machine(capsys, "verify", "8")
+    assert code == 2 and record["verdict"] == "fail"
+    assert all(f.startswith("balance n=6 k=3 m=") for f in record["failures"])
+    failing = [m for m in range(1, 13) if not words.check_balance("AAABBB", m)]
+    assert [int(re.match(r"balance n=6 k=3 m=(\d+):", f).group(1))
+            for f in record["failures"]] == failing
+    m, start, weight, low, high = map(int, re.fullmatch(
+        r"balance n=6 k=3 m=(\d+): window at start (\d+) has weight (\d+), "
+        r"bounds \[(\d+), (\d+)\]", record["failures"][0]).groups())
+    assert words.check_balance("AAABBB", m) == (False, start, weight, low, high)
+
+
+def test_verify_counts_follow_closed_forms(capsys):
+    # one check per coprime pair, per grid cell (n <= 12) and per (n, k, m)
+    for n_max in range(1, 31):
+        code, record, _ = machine(capsys, "verify", str(n_max))
+        assert code == 0 and record["verdict"] == "pass"
+        assert record["equivalence_pairs"] == sum(naive.totient(n) for n in range(2, n_max + 1))
+        assert record["oracle_cells"] == sum(
+            min(k, s) + 1 for n in range(2, min(n_max, 12) + 1)
+            for k in range(1, n) for s in range(1, n))
+        assert record["balance_checks"] == n_max * (n_max + 1) * (2 * n_max + 1) // 3
+
+
 def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
     calls = []
 

@@ -1,5 +1,8 @@
 """Brute-force existence search, the necklace enumerator, and the pigeonhole certificate."""
 
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import comb, gcd
 
 import pytest
@@ -16,7 +19,8 @@ from mechwords import (
     min_weight_window,
     rotation_equivalent,
 )
-from mechwords.oracle import _necklaces
+from mechwords import oracle
+from mechwords.oracle import _necklaces, _shared_necklaces
 
 
 def test_motivating_instance_has_no_arrangement():
@@ -47,10 +51,6 @@ def test_cap_guards_blowup():
     assert result.exists and result.instances_checked == 10
 
 
-def totient(d):
-    return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
-
-
 def test_necklaces_obey_burnside():
     # one least rotation per rotation class: (1/n) sum over d | gcd(n, k) of
     # phi(d) C(n/d, k/d) words, strictly increasing
@@ -58,7 +58,7 @@ def test_necklaces_obey_burnside():
         for k in range(0, n + 1):
             words = list(_necklaces(n, k))
             g = gcd(n, k)
-            total = sum(totient(d) * comb(n // d, k // d)
+            total = sum(naive.totient(d) * comb(n // d, k // d)
                         for d in range(1, g + 1) if g % d == 0)
             assert len(words) * n == total, (n, k)
             assert all(a < b for a, b in zip(words, words[1:])), (n, k)
@@ -76,6 +76,62 @@ def test_matches_combination_search():
                     result = brute_force_exists(AdmissibilityQuery(n, k, s, t))
                     assert (result.exists, result.witness) == \
                         naive.first_admissible(n, k, s, t), (n, k, s, t)
+
+
+def grid_cells(sizes):
+    return [(n, k, s, t) for n in sizes for k in range(1, n) for s in range(1, n)
+            for t in range(0, min(k, s) + 1)]
+
+
+def test_shared_necklaces_answer_in_any_order():
+    # queries share the last pair's necklaces; a seeded shuffle interleaves
+    # pairs, so most queries start from a fresh buffer and the rest resume one
+    cells = grid_cells(range(2, 13))
+    _shared_necklaces.cache_clear()
+    in_order = {cell: brute_force_exists(AdmissibilityQuery(*cell)) for cell in cells}
+    random.Random(10).shuffle(cells)
+    for cell in cells:
+        result = brute_force_exists(AdmissibilityQuery(*cell))
+        assert result == in_order[cell], cell
+        assert (result.exists, result.witness) == naive.first_admissible(*cell), cell
+
+
+def test_shared_necklaces_are_thread_safe():
+    # four threads read one pair's buffer at once, in grid order, with the
+    # interpreter switching threads as often as it can
+    cells = grid_cells((14, 15))
+    serial = [brute_force_exists(AdmissibilityQuery(*cell)) for cell in cells]
+    _shared_necklaces.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(brute_force_exists, AdmissibilityQuery(*cell))
+                       for cell in cells]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_first_hit_reads_one_necklace(monkeypatch):
+    # the buffer fills as it is read: a trivial quota stops at the first of the
+    # 9,252 necklaces of (20, 10), and only that one is generated
+    generated = []
+
+    def counting(n, k):
+        for word in _necklaces(n, k):
+            generated.append(word)
+            yield word
+
+    monkeypatch.setattr(oracle, "_necklaces", counting)
+    _shared_necklaces.cache_clear()
+    try:
+        result = brute_force_exists(AdmissibilityQuery(20, 10, 10, 0))
+    finally:
+        _shared_necklaces.cache_clear()
+    assert result == OracleResult(True, "A" * 10 + "B" * 10, 1)
+    assert generated == ["A" * 10 + "B" * 10]
 
 
 def test_agrees_with_criterion_on_grid():
