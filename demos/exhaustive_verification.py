@@ -4,8 +4,9 @@ Exhaustive verification at desk scale
 
 Every claim the library makes is checkable by brute force when n is small:
 the nt <= ks criterion against full enumeration, the constructions against
-each other, and the balance bounds window by window. This is the same
-machinery behind `mechwords verify`.
+each other, and the balance bounds window by window. The library runs the
+same three sweeps as `mechwords.oracle.verify_sweeps(n_max)`, which returns
+their counts and failures and is what `mechwords verify` prints.
 """
 
 from math import gcd

@@ -14,7 +14,8 @@ The package splits into:
 - ``constructions``: the Euclidean quotient-ladder build, the
   continued-fraction word recursion and its quotients, and rotation
   canonicalization.
-- ``oracle``: brute-force enumeration used as ground truth.
+- ``oracle``: brute-force enumeration used as ground truth, and the
+  exhaustive sweeps behind ``verify``.
 - ``cli``: the ``mechwords`` command (plan, generate, check, verify,
   discrepancy).
 """
@@ -40,7 +41,7 @@ from .constructions import (
     smith_quotients,
     symbol_stages,
 )
-from .oracle import OracleResult, brute_force_exists
+from .oracle import OracleResult, brute_force_exists, verify_sweeps
 from .words import (
     A,
     B,
@@ -79,5 +80,6 @@ __all__ = [
     "smith_quotients",
     "symbol_stages",
     "to_bits",
+    "verify_sweeps",
     "window_weight_profile",
 ]

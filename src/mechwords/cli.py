@@ -9,15 +9,11 @@ with stable field names.
 import argparse
 import json
 import sys
-from itertools import accumulate
-from math import gcd
-from operator import sub
 from typing import Sequence
 
 from .admissibility import (
     AdmissibilityQuery,
     _min_window,
-    construct_admissible,
     criterion,
     mechanical_window,
     window_weight_profile,
@@ -26,13 +22,12 @@ from .constructions import (
     _check_pair,
     arrange,
     euclid_trace,
-    rotation_equivalent,
     smith_ladder,
     smith_quotients,
     symbol_stages,
 )
-from .oracle import brute_force_exists
-from .words import _BYTES, check_balance, mechanical_word, parse_word, to_bits
+from .oracle import verify_sweeps
+from .words import mechanical_word, parse_word, to_bits
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -93,7 +88,7 @@ def cmd_plan(args) -> int:
         return EXIT_NEGATIVE
     _check_word_cap(query.n)
     # --canonical is a no-op: the mechanical word is its least rotation
-    word = construct_admissible(query)
+    word = mechanical_word(query.n, query.k)
     profile = window_weight_profile(word, query.s)
     witness = mechanical_window(query.n, query.k, query.s)
     shown = _rendered(word, args)
@@ -178,61 +173,6 @@ def cmd_check(args) -> int:
     return EXIT_OK if admissible else EXIT_NEGATIVE
 
 
-def _verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
-    counts = {"equivalence_pairs": 0, "oracle_cells": 0, "balance_checks": 0}
-    failures = []
-
-    # three-way equivalence over coprime pairs, the recursion's word closed up
-    # as A...B equal to the mechanical word, and the mechanical word against
-    # the ceiling formula: its prefix of length i holds ceil(k*i/n) letters A
-    for n in range(2, n_max + 1):
-        for k in range(1, n):
-            if gcd(n, k) != 1:
-                continue
-            counts["equivalence_pairs"] += 1
-            built = arrange(n, k)
-            from_recursion = smith_ladder(smith_quotients(n, k))[-1]
-            mechanical = mechanical_word(n, k)
-            prefix_counts = accumulate((letter == "A" for letter in mechanical), initial=0)
-            if not (all(c == -(-k * i // n) for i, c in enumerate(prefix_counts))
-                    and rotation_equivalent(built, from_recursion)
-                    and rotation_equivalent(built, mechanical)
-                    and "A" + from_recursion[:-2] + "B" == mechanical):
-                failures.append(
-                    f"equivalence n={n} k={k}: arrange={built} "
-                    f"recursion={from_recursion} mechanical={mechanical}")
-
-    # criterion versus exhaustive search
-    for n in range(2, min(n_max, 12) + 1):
-        for k in range(1, n):
-            for s in range(1, n):
-                for t in range(0, min(k, s) + 1):
-                    counts["oracle_cells"] += 1
-                    query = AdmissibilityQuery(n, k, s, t)
-                    if brute_force_exists(query).exists != criterion(query):
-                        failures.append(f"criterion n={n} k={k} s={s} t={t}")
-
-    # balance bounds of every mechanical word, window lengths up to 2n: one
-    # prefix-count table over three periods holds every window's weight as
-    # prefix[i + m] - prefix[i], so each m compares the n starts against the
-    # bounds, and check_balance reports a length that fails
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            word = mechanical_word(n, k)
-            prefix = list(accumulate((word * 3).encode().translate(_BYTES), initial=0))
-            starts, weight = prefix[:n], prefix[n]
-            for m in range(1, 2 * n + 1):
-                counts["balance_checks"] += 1
-                bounds = {m * weight // n, -(-m * weight // n)}
-                if not set(map(sub, prefix[m:m + n], starts)) <= bounds:
-                    result = check_balance(word, m)
-                    failures.append(
-                        f"balance n={n} k={k} m={m}: window at start "
-                        f"{result.start} has weight {result.weight}, "
-                        f"bounds [{result.low}, {result.high}]")
-    return counts, failures
-
-
 def cmd_verify(args) -> int:
     if args.n_max is not None and args.n_max_flag is not None:
         raise InputError("give n_max either positionally or via --n-max, not both")
@@ -243,7 +183,7 @@ def cmd_verify(args) -> int:
         raise InputError(f"n_max must be positive, got {n_max}")
     if n_max > VERIFY_CAP:
         raise InputError(f"n_max above the verification cap {VERIFY_CAP}")
-    counts, failures = _verify_sweeps(n_max)
+    counts, failures = verify_sweeps(n_max)
     record = {"command": "verify", "n_max": n_max, **counts,
               "verdict": "pass" if not failures else "fail",
               "failures": failures}
@@ -263,7 +203,7 @@ def cmd_discrepancy(args) -> int:
         raise InputError(f"m must be in 1..{n}, got {m}")
     # the mechanical word's windows weigh floor(m*k/n) or ceil(m*k/n), both
     # attained, so no word is built
-    floor_term = mechanical_window(n, k, m).weight
+    floor_term = m * k // n
     ceil_term = -(-m * k // n)
     value = max(abs(2 * floor_term - m), abs(2 * ceil_term - m))
     bound = m - 2 * floor_term

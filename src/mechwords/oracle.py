@@ -1,19 +1,22 @@
-"""Exhaustive ground truth for small instances.
+"""Exhaustive ground truth for small instances, and the sweeps behind verify.
 
 Everything here is deliberately brute force: enumerate, test, report. The
 point is to have an independent answer to compare the nt <= ks criterion and
 the constructions against. Admissibility is invariant under rotation, so the
 search walks necklaces (least rotations) rather than all C(n, k) words.
+`verify_sweeps` runs that comparison over a grid, together with the
+constructions' equivalence and the balance bounds of every mechanical word.
 """
 
-from copy import copy
 from functools import lru_cache
-from itertools import tee
-from threading import Lock
+from itertools import accumulate
+from math import gcd
+from operator import sub
 from typing import Iterator, NamedTuple
 
-from .admissibility import AdmissibilityQuery, is_admissible
-from .words import A, B
+from .admissibility import AdmissibilityQuery, criterion, is_admissible
+from .constructions import arrange, rotation_equivalent, smith_ladder, smith_quotients
+from .words import _BYTES, A, B, check_balance, mechanical_word
 
 # largest n the search takes
 CAP = 20
@@ -46,13 +49,12 @@ def _necklaces(n: int, k: int) -> Iterator[str]:
 
 
 @lru_cache(maxsize=1)
-def _shared_necklaces(n: int, k: int):
-    # the last pair's necklaces, generated once and kept as they are read: a
-    # grid asks every (s, t) of one (n, k) in a row, and each query walks a
-    # copy of this tee from the first necklace. The lock serializes the copies'
-    # reads, since the tee and its generator are not safe to advance from two
-    # threads; memory stays at one pair's necklaces
-    return tee(_necklaces(n, k), 1)[0], Lock()
+def _shared_necklaces(n: int, k: int) -> tuple[str, ...]:
+    # the last pair's necklaces, generated whole: a grid asks every (s, t) of
+    # one (n, k) in a row, and each query walks this tuple from the first
+    # necklace. A tuple is never mutated, so threads read it without a lock;
+    # memory stays at one pair's necklaces (9,252 strings at the cap)
+    return tuple(_necklaces(n, k))
 
 
 def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
@@ -62,20 +64,66 @@ def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
     first hit. The least admissible word is its own least rotation, so the
     witness is the least admissible word of all C(n, k). instances_checked
     counts the necklaces tried. A query with n above CAP is refused, which
-    guards against blowup. The necklaces of the last (n, k) asked are kept and
-    shared by the next queries on that pair, in any thread.
+    guards against blowup. The necklaces of the last (n, k) asked are kept
+    and shared by the next queries on that pair.
     """
     if query.n > CAP:
         raise ValueError(f"n={query.n} is above the brute-force cap {CAP}")
-    source, lock = _shared_necklaces(query.n, query.k)
-    necklaces = copy(source)
-    checked = 0
-    while True:
-        with lock:
-            word = next(necklaces, None)
-        if word is None:
-            return OracleResult(False, None, checked)
-        checked += 1
+    necklaces = _shared_necklaces(query.n, query.k)
+    for checked, word in enumerate(necklaces, 1):
         if is_admissible(word, query.s, query.t):
             return OracleResult(True, word, checked)
+    return OracleResult(False, None, len(necklaces))
 
+
+def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
+    """Run verify's three sweeps up to n_max; return their counts and failures.
+
+    Equivalence, coprime k < n: arrange, Smith's recursion and the mechanical
+    word are rotations of one word, the recursion's word closed up as A...B is
+    the mechanical word, and its prefix of length i holds ceil(k*i/n) letters
+    A. Oracle grid, n <= 12: brute_force_exists agrees with criterion. Balance:
+    each window of length m <= 2n of every mechanical word weighs floor(m*k/n)
+    or ceil(m*k/n). Failures come equivalence first, then grid, then balance.
+    """
+    counts = {"equivalence_pairs": 0, "oracle_cells": 0, "balance_checks": 0}
+    equivalence, grid, balance = [], [], []
+
+    for n in range(2, min(n_max, 12) + 1):
+        for k in range(1, n):
+            for s in range(1, n):
+                for t in range(0, min(k, s) + 1):
+                    counts["oracle_cells"] += 1
+                    query = AdmissibilityQuery(n, k, s, t)
+                    if brute_force_exists(query).exists != criterion(query):
+                        grid.append(f"criterion n={n} k={k} s={s} t={t}")
+
+    # one prefix-count table over three periods per mechanical word holds
+    # every window's weight as prefix[i + m] - prefix[i], and its first n + 1
+    # entries are the prefix counts the ceiling formula fixes
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            word = mechanical_word(n, k)
+            prefix = list(accumulate((word * 3).encode().translate(_BYTES), initial=0))
+            if k < n and gcd(n, k) == 1:
+                counts["equivalence_pairs"] += 1
+                built = arrange(n, k)
+                from_recursion = smith_ladder(smith_quotients(n, k))[-1]
+                if not (prefix[:n + 1] == [-(-k * i // n) for i in range(n + 1)]
+                        and rotation_equivalent(built, from_recursion)
+                        and rotation_equivalent(built, word)
+                        and "A" + from_recursion[:-2] + "B" == word):
+                    equivalence.append(
+                        f"equivalence n={n} k={k}: arrange={built} "
+                        f"recursion={from_recursion} mechanical={word}")
+            starts, weight = prefix[:n], prefix[n]
+            counts["balance_checks"] += 2 * n
+            for m in range(1, 2 * n + 1):
+                bounds = {m * weight // n, -(-m * weight // n)}
+                if not set(map(sub, prefix[m:m + n], starts)) <= bounds:
+                    result = check_balance(word, m)
+                    balance.append(
+                        f"balance n={n} k={k} m={m}: window at start "
+                        f"{result.start} has weight {result.weight}, "
+                        f"bounds [{result.low}, {result.high}]")
+    return counts, equivalence + grid + balance

@@ -5,7 +5,7 @@ import re
 from math import gcd
 
 import naive
-from mechwords import admissibility, canonical_rotation, cli, words
+from mechwords import admissibility, canonical_rotation, cli, oracle, words
 from mechwords.cli import main
 
 
@@ -209,7 +209,7 @@ def test_verify_checks_mechanical_word_against_ceiling_formula(capsys, monkeypat
     # a mechanical word rotated to another A...B rotation, with the recursion's
     # word rotated to close up to it, passes every rotation, balance and
     # closing-up check; only the ceiling formula catches it
-    mechanical_word, smith_ladder = cli.mechanical_word, cli.smith_ladder
+    mechanical_word, smith_ladder = oracle.mechanical_word, oracle.smith_ladder
 
     def rotated(word):
         j = word.find("BA") + 1
@@ -220,9 +220,9 @@ def test_verify_checks_mechanical_word_against_ceiling_formula(capsys, monkeypat
         word = rotated("A" + ladder[-1][:-2] + "B")
         return ladder[:-1] + [word[1:] + word[:1]]
 
-    monkeypatch.setattr(cli, "mechanical_word",
+    monkeypatch.setattr(oracle, "mechanical_word",
                         lambda n, k: rotated(mechanical_word(n, k)))
-    monkeypatch.setattr(cli, "smith_ladder", rotated_ladder)
+    monkeypatch.setattr(oracle, "smith_ladder", rotated_ladder)
     code, record, _ = machine(capsys, "verify", "8")
     assert code == 2
     assert record["verdict"] == "fail"
@@ -234,8 +234,8 @@ def test_verify_reports_unbalanced_word_through_check_balance(capsys, monkeypatc
     # AAABBB has the weight of the (6, 3) mechanical word but is unbalanced;
     # (6, 3) is not coprime, so only the balance sweep sees it, and every
     # failing length is reported with check_balance's first bad window
-    mechanical_word = cli.mechanical_word
-    monkeypatch.setattr(cli, "mechanical_word",
+    mechanical_word = oracle.mechanical_word
+    monkeypatch.setattr(oracle, "mechanical_word",
                         lambda n, k: "AAABBB" if (n, k) == (6, 3) else mechanical_word(n, k))
     code, record, _ = machine(capsys, "verify", "8")
     assert code == 2 and record["verdict"] == "fail"
@@ -247,6 +247,23 @@ def test_verify_reports_unbalanced_word_through_check_balance(capsys, monkeypatc
         r"balance n=6 k=3 m=(\d+): window at start (\d+) has weight (\d+), "
         r"bounds \[(\d+), (\d+)\]", record["failures"][0]).groups())
     assert words.check_balance("AAABBB", m) == (False, start, weight, low, high)
+
+
+def test_verify_reports_words_breaking_one_balance_bound(capsys, monkeypatch):
+    # AABBBB in place of the (6, 2) mechanical word breaks only the upper
+    # bound at m = 2 and 8, only the lower bound at m = 4 and 10, and both at
+    # m = 3 and 9, so a sweep one too wide on either side misses a length
+    mechanical_word = oracle.mechanical_word
+    monkeypatch.setattr(oracle, "mechanical_word",
+                        lambda n, k: "AABBBB" if (n, k) == (6, 2) else mechanical_word(n, k))
+    code, record, _ = machine(capsys, "verify", "8")
+    assert code == 2 and record["verdict"] == "fail"
+    reported = [tuple(map(int, re.fullmatch(
+        r"balance n=6 k=2 m=(\d+): window at start (\d+) has weight (\d+), "
+        r"bounds \[(\d+), (\d+)\]", f).groups())) for f in record["failures"]]
+    assert [m for m, *_ in reported] == [2, 3, 4, 8, 9, 10]
+    for m, start, weight, low, high in reported:
+        assert words.check_balance("AABBBB", m) == (False, start, weight, low, high)
 
 
 def test_verify_counts_follow_closed_forms(capsys):
