@@ -7,8 +7,8 @@ verify the constructions against exhaustive brute force at small scale.
 
 The package splits into:
 
-- ``words``: two-letter words, the mechanical-word generator, the circular
-  window kernel, and balance checking.
+- ``words``: two-letter words and the one input domain, the mechanical-word
+  generator, the circular window kernel, and balance checking.
 - ``admissibility``: circular window profiles, the n*t <= k*s criterion,
   window discrepancy, and the closed-form minimum window of a mechanical word.
 - ``constructions``: the Euclidean quotient-ladder build, the

@@ -13,7 +13,8 @@ integer arithmetic alone.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import _check_slope, _window_weights, mechanical_word, parse_word
+from .words import (
+    _check_quota, _check_slope, _check_window, _window_weights, mechanical_word, parse_word)
 
 
 class WindowReport(NamedTuple):
@@ -40,9 +41,10 @@ class AdmissibilityVerdict(NamedTuple):
 class AdmissibilityQuery:
     """A planning instance: n spots, k marked A, windows of s spots, quota t.
 
-    Requires 1 <= k < n and 1 <= s < n. Any t >= 0 is accepted: t = 0 is
-    trivially admissible and t beyond min(k, s) simply resolves to "not
-    admissible" through the criterion.
+    The domain is the one `words` checks: 1 <= k <= n, 1 <= s <= n, t >= 0;
+    k = n (the all-A word) and s = n (the whole circle) need no special case.
+    t = 0 is trivially admissible and t beyond min(k, s) simply resolves to
+    "not admissible" through the criterion.
     """
     n: int
     k: int
@@ -50,14 +52,9 @@ class AdmissibilityQuery:
     t: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"k must satisfy 1 <= k < n, got k={self.k}, n={self.n}")
-        if not 1 <= self.s < self.n:
-            raise ValueError(f"s must satisfy 1 <= s < n, got s={self.s}, n={self.n}")
-        if self.t < 0:
-            raise ValueError("t must be non-negative")
+        _check_slope(self.n, self.k)
+        _check_window("s", self.s, self.n)
+        _check_quota(self.t)
 
 
 def window_weight_profile(word: str, m: int) -> list[int]:
@@ -66,9 +63,7 @@ def window_weight_profile(word: str, m: int) -> list[int]:
     One running sum around the circle (the `words` window kernel), linear in n.
     """
     parse_word(word)
-    n = len(word)
-    if not 1 <= m <= n:
-        raise ValueError(f"window length must be in 1..{n}, got {m}")
+    _check_window("window length", m, len(word))
     return _window_weights(word, m)
 
 
@@ -105,11 +100,13 @@ def _first_hit(a: int, mod: int, lo: int, hi: int) -> int:
 def mechanical_window(n: int, k: int, m: int) -> WindowReport:
     """The lightest length-m window of mechanical_word(n, k), with no word built.
 
-    Equals min_weight_window(mechanical_word(n, k), m), smallest start on
-    ties, for 0 < k <= n and any m >= 1, in O(log n) integer steps. By the
-    ceiling formula the window from i weighs floor(k*m/n) when
-    (-k*i) % n >= (k*m) % n and one more otherwise, so the start is the first
-    such i (0 when n divides k*m).
+    For 0 < k <= n and any m >= 1 (a factor length of the periodic word, not
+    a window of the n-spot circle), in O(log n) integer steps. For m <= n it
+    equals min_weight_window(mechanical_word(n, k), m), smallest start on
+    ties; min_weight_window rejects m > n, where naive.windows in the tests is
+    the reference. By the ceiling formula the window from i weighs
+    floor(k*m/n) when (-k*i) % n >= (k*m) % n and one more otherwise, so the
+    start is the first such i (0 when n divides k*m).
     """
     _check_slope(n, k)
     if m < 1:
@@ -120,8 +117,7 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
 
 def is_admissible(word: str, s: int, t: int) -> AdmissibilityVerdict:
     """Does every circular window of s consecutive spots hold >= t letters A?"""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    _check_quota(t)
     witness = min_weight_window(word, s)
     return AdmissibilityVerdict(witness.weight >= t, witness)
 

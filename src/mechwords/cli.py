@@ -18,16 +18,10 @@ from .admissibility import (
     mechanical_window,
     window_weight_profile,
 )
-from .constructions import (
-    _check_pair,
-    arrange,
-    euclid_trace,
-    smith_ladder,
-    smith_quotients,
-    symbol_stages,
-)
+from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
-from .words import mechanical_word, parse_word, to_bits
+from .words import (
+    _check_quota, _check_slope, _check_window, _check_word, mechanical_word, to_bits)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -105,7 +99,7 @@ def cmd_plan(args) -> int:
 
 def cmd_generate(args) -> int:
     n, k = args.n, args.k
-    _checked(_check_pair, n, k)
+    _checked(_check_slope, n, k)
     _check_word_cap(n)
     record = {"command": "generate", "n": n, "k": k, "method": args.method}
     lines = []
@@ -131,8 +125,9 @@ def cmd_generate(args) -> int:
         ladder = smith_ladder(quotients)
         word = ladder[-1]
         if args.verbose:
-            record.update(quotients=quotients, ladder=ladder)
-            lines += [f"S_{idx} = {w}" for idx, w in enumerate(ladder, 1)]
+            shown_ladder = [_rendered(w, args) for w in ladder]
+            record.update(quotients=quotients, ladder=shown_ladder)
+            lines += [f"S_{idx} = {w}" for idx, w in enumerate(shown_ladder, 1)]
     if args.canonical:
         # every method builds a rotation of the mechanical word, the least one
         word = mechanical_word(n, k)
@@ -144,19 +139,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    word = _checked(parse_word, args.word)
-    if not word:
-        raise InputError("word must be non-empty")
-    n, s, t = len(word), args.s, args.t
-    if not 1 <= s <= n:
-        raise InputError(f"s must be in 1..{n}, got {s}")
-    if t < 0:
-        raise InputError("t must be non-negative")
+    word, s, t = args.word, args.s, args.t
+    _checked(_check_word, word)
+    _checked(_check_window, "s", s, len(word))
+    _checked(_check_quota, t)
     profile = window_weight_profile(word, s)
     witness = _min_window(profile, s)
     admissible = witness.weight >= t
     shown = _rendered(word, args)
-    record = {"command": "check", "word": shown, "n": n, "k": word.count("A"),
+    record = {"command": "check", "word": shown, "n": len(word), "k": word.count("A"),
               "s": s, "t": t,
               "verdict": "admissible" if admissible else "not-admissible",
               "witness_start": witness.start, "witness_weight": witness.weight}
@@ -198,9 +189,8 @@ def cmd_verify(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     n, k, m = args.n, args.k, args.m
-    _checked(_check_pair, n, k)
-    if not 1 <= m <= n:
-        raise InputError(f"m must be in 1..{n}, got {m}")
+    _checked(_check_slope, n, k)
+    _checked(_check_window, "m", m, n)
     # the mechanical word's windows weigh floor(m*k/n) or ceil(m*k/n), both
     # attained, so no word is built
     floor_term = m * k // n

@@ -8,7 +8,8 @@ quotient. Rotation utilities make "same necklace" checkable.
 
 from typing import Sequence
 
-from .words import A, B, _euclid_quotients, _smith_ladder, parse_word
+from .words import (
+    A, B, _check_slope, _check_word, _euclid_quotients, _smith_ladder, parse_word)
 
 PLUS = "+"
 MINUS = "-"
@@ -16,18 +17,13 @@ MINUS = "-"
 _PROMOTE = str.maketrans({PLUS: PLUS + MINUS, MINUS: PLUS})
 
 
-def _check_pair(n: int, k: int) -> None:
-    if n < 1 or k < 1 or k >= n:
-        raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
-
-
 def euclid_trace(n: int, k: int) -> tuple[list[int], list[int]]:
-    """Quotients and remainders of the Euclidean algorithm on (n, k), 1 <= k < n.
+    """Quotients and remainders of the Euclidean algorithm on (n, k), 1 <= k <= n.
 
     Over r = [n, k] + remainders, division j reads r[j] = q[j]*r[j+1] + r[j+2].
     The remainders stop at the first 0, so r[-2] is gcd(n, k).
     """
-    _check_pair(n, k)
+    _check_slope(n, k)
     quotients, remainders = _euclid_quotients(n, k)[0], []
     a, b = n, k
     for q in quotients:
@@ -67,7 +63,7 @@ def arrange(n: int, k: int) -> str:
     substitution on +/-, so the word is built from the images of + and -
     under them.
     """
-    _check_pair(n, k)
+    _check_slope(n, k)
     quotients, g = _euclid_quotients(n, k)
     # letter map + -> AB^q, - -> AB^(q-1) for the first quotient, then each
     # later one composes + -> +-^q, - -> +-^(q-1); the last - is the seed block
@@ -79,7 +75,7 @@ def arrange(n: int, k: int) -> str:
 
 def smith_quotients(n: int, k: int) -> list[int]:
     """Quotients of coprime n/k with the first lowered by 1, for Smith's length-n word."""
-    _check_pair(n, k)
+    _check_slope(n, k)
     quotients, g = _euclid_quotients(n, k)
     if g != 1:
         raise ValueError(f"n and k not coprime (gcd {g})")
@@ -125,9 +121,7 @@ def _least_rotation_index(word: str) -> int:
 
 def canonical_rotation(word: str) -> tuple[str, int]:
     """Lexicographically least rotation (A < B) and the left shift reaching it."""
-    parse_word(word)
-    if not word:
-        raise ValueError("word must be non-empty")
+    _check_word(word)
     shift = _least_rotation_index(word)
     return word[shift:] + word[:shift], shift
 

@@ -12,22 +12,40 @@ from typing import NamedTuple, Sequence
 
 A = "A"
 B = "B"
-ALPHABET = frozenset((A, B))
 
 # fixed rendering bijection: A <-> 1, B <-> 0
 _BITS = str.maketrans(A + B, "10")
 _BYTES = bytes.maketrans(b"AB", b"\x01\x00")
+# deletes both letters, so only the characters a word may not hold are left
+_FOREIGN = str.maketrans("", "", A + B)
+
+# the one input domain of every layer and the CLI: 1 <= k <= n letters A among
+# n spots, windows of 1..n spots, quotas t >= 0, non-empty words over {A, B}
 
 
 def _check_slope(n: int, k: int) -> None:
-    # the domain of a mechanical word of slope k/n
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"slope k/n needs 0 < k <= n, got k={k}, n={n}")
 
 
+def _check_window(name: str, m: int, n: int) -> None:
+    if not 1 <= m <= n:
+        raise ValueError(f"{name} must be in 1..{n}, got {m}")
+
+
+def _check_quota(t: int) -> None:
+    if t < 0:
+        raise ValueError("t must be non-negative")
+
+
+def _check_word(word: str) -> None:
+    if not parse_word(word):
+        raise ValueError("word must be non-empty")
+
+
 def parse_word(text: str) -> str:
     """Validate a word over {A, B}; every other character is rejected."""
-    bad = set(text) - ALPHABET
+    bad = set(text.translate(_FOREIGN))
     if bad:
         raise ValueError(
             f"invalid letter(s) {sorted(bad)}: words use only 'A' and 'B'")
@@ -110,11 +128,10 @@ def check_balance(period: str, m: int) -> BalanceCheck:
     between floor(m*alpha) and ceil(m*alpha) letters A; the bounds are computed
     with integer arithmetic. Scanning the len(period) start positions covers
     all factors, by periodicity. On failure the first violating start index
-    and its weight are reported.
+    and its weight are reported. Here m is a factor length of the infinite
+    periodic word, not a window of the n-spot circle, so any m >= 1 is taken.
     """
-    parse_word(period)
-    if not period:
-        raise ValueError("period must be non-empty")
+    _check_word(period)
     if m < 1:
         raise ValueError("factor length must be positive")
     n, k = len(period), period.count(A)

@@ -120,7 +120,11 @@ def test_is_admissible_rejects_negative_quota():
 def test_query_validation():
     AdmissibilityQuery(10, 3, 6, 2)
     AdmissibilityQuery(4, 3, 2, 1)
-    for n, k, s, t in [(4, 4, 2, 1), (4, 0, 2, 1), (4, 2, 4, 1),
+    # k == n and s == n are inside the domain and answer like any other cell
+    assert construct_admissible(AdmissibilityQuery(4, 4, 2, 1)) == "AAAA"
+    assert construct_admissible(AdmissibilityQuery(4, 2, 4, 1)) == "ABAB"
+    assert construct_admissible(AdmissibilityQuery(4, 2, 4, 3)) is None
+    for n, k, s, t in [(4, 5, 2, 1), (4, 0, 2, 1), (4, 2, 5, 1),
                        (4, 2, 0, 1), (4, 2, 2, -1), (0, 0, 0, 0)]:
         with pytest.raises(ValueError):
             AdmissibilityQuery(n, k, s, t)

@@ -41,11 +41,19 @@ def test_plan_zero_quota_is_trivial(capsys):
 
 
 def test_plan_rejects_bad_bounds(capsys):
-    for argv in (["plan", "4", "4", "2", "1"], ["plan", "4", "2", "4", "1"],
-                 ["plan", "4", "2", "2", "-1"]):
+    for argv in (["plan", "4", "5", "2", "1"], ["plan", "4", "2", "5", "1"],
+                 ["plan", "4", "0", "2", "1"], ["plan", "4", "2", "0", "1"],
+                 ["plan", "4", "2", "2", "-1"], ["plan", "0", "1", "1", "0"]):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")
+    # k == n and s == n are inside the domain
+    code, out, _ = run(capsys, "plan", "4", "4", "2", "1")
+    assert (code, out.splitlines()[1]) == (0, "arrangement: AAAA")
+    code, out, _ = run(capsys, "plan", "4", "2", "4", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["arrangement: ABAB", "window weights (s=4): 2 2 2 2",
+                                    "min window: start 0, weight 2"]
 
 
 def test_plan_text_and_machine_carry_same_numbers(capsys):
@@ -112,6 +120,19 @@ def test_generate_verbose_smith_shows_ladder(capsys):
     assert "S_3 = BABABABBABABABBABABABBA" in out
 
 
+def test_generate_verbose_smith_ladder_uses_alphabet(capsys):
+    # the ladder is rendered like the word, so its last entry is the word shown
+    for alphabet in ("AB", "01"):
+        argv = ["generate", "7", "3", "--method", "smith", "--verbose",
+                "--alphabet", alphabet]
+        code, out, _ = run(capsys, *argv)
+        *ladder, word = out.splitlines()
+        assert code == 0 and ladder[-1] == f"S_{len(ladder)} = {word}"
+        code, record, _ = machine(capsys, *argv)
+        assert code == 0 and record["ladder"][-1] == record["word"] == word
+    assert word == "0101010" and ladder[0] == "S_1 = 01"
+
+
 def test_generate_canonical_and_bits(capsys):
     code, out, _ = run(capsys, "generate", "4", "3", "--canonical")
     assert code == 0
@@ -156,8 +177,10 @@ def test_plan_canonical_is_least_rotation(capsys, monkeypatch):
 
 
 def test_generate_rejects_bad_pair(capsys):
-    code, _, err = run(capsys, "generate", "4", "4")
-    assert code == 1 and "1 <= k < n" in err
+    for n, k in (("4", "5"), ("4", "0"), ("0", "1")):
+        code, _, err = run(capsys, "generate", n, k)
+        assert code == 1 and "0 < k <= n" in err
+    assert run(capsys, "generate", "4", "4") == (0, "AAAA\n", "")
     code, _, err = run(capsys, "generate", "x", "4")
     assert code == 1 and "invalid int" in err
 

@@ -47,7 +47,7 @@ def test_euclid_trace_divisible_and_short():
     assert euclid_trace(10, 4) == ([2, 2], [2, 0])
 
 
-@pytest.mark.parametrize("n, k", [(5, 5), (5, 6), (5, 0), (0, 1), (-3, 1)])
+@pytest.mark.parametrize("n, k", [(5, 6), (5, 0), (0, 1), (-3, 1)])
 def test_euclid_trace_rejects(n, k):
     with pytest.raises(ValueError):
         euclid_trace(n, k)
@@ -91,7 +91,7 @@ def test_arrange_matches_stage_pipeline():
             assert arrange(n, k) == naive.arrange_reference(n, k), (n, k)
 
 
-@pytest.mark.parametrize("n, k", [(5, 5), (5, 0), (4, 6)])
+@pytest.mark.parametrize("n, k", [(5, 0), (4, 6)])
 def test_arrange_rejects(n, k):
     with pytest.raises(ValueError):
         arrange(n, k)

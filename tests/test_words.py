@@ -28,6 +28,13 @@ def test_parse_word():
     for bad in ("ab", "A B", "01", "AXB"):
         with pytest.raises(ValueError):
             parse_word(bad)
+    # a long word whose only bad letter comes last is still caught, and the
+    # message lists the sorted set of bad letters
+    for bad, letters in ((("AB" * 50_000)[:-1] + "x", ["x"]), ("bAaBb", ["a", "b"])):
+        with pytest.raises(ValueError) as excinfo:
+            parse_word(bad)
+        assert str(excinfo.value) == (
+            f"invalid letter(s) {letters}: words use only 'A' and 'B'")
 
 
 def test_to_bits():
