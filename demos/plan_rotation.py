@@ -47,7 +47,7 @@ relaxed = AdmissibilityQuery(10, 3, 6, 1)
 word = construct_admissible(relaxed)
 print(f"\nrelaxed to t=1: arrangement {word}")
 print("court loads by rotation:", window_weight_profile(word, relaxed.s))
-print("admissible:", bool(is_admissible(word, relaxed.s, relaxed.t)))
+print("admissible:", is_admissible(word, relaxed.s, relaxed.t))
 
 # A smaller tournament where the original quota is fine: 7 players, 3 A-shirts,
 # 5 on court, at least 2 A-shirts required.

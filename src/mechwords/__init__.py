@@ -22,7 +22,6 @@ The package splits into:
 
 from .admissibility import (
     AdmissibilityQuery,
-    AdmissibilityVerdict,
     WindowReport,
     construct_admissible,
     criterion,
@@ -58,7 +57,6 @@ __all__ = [
     "A",
     "B",
     "AdmissibilityQuery",
-    "AdmissibilityVerdict",
     "BalanceCheck",
     "OracleResult",
     "WindowReport",

@@ -24,19 +24,6 @@ class WindowReport(NamedTuple):
     weight: int
 
 
-class AdmissibilityVerdict(NamedTuple):
-    """Verdict plus the minimum-weight window backing it.
-
-    The witness is always the minimum-weight window with the smallest start;
-    when the verdict is negative it is a violating window.
-    """
-    admissible: bool
-    witness: WindowReport
-
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
 @dataclass(frozen=True)
 class AdmissibilityQuery:
     """A planning instance: n spots, k marked A, windows of s spots, quota t.
@@ -115,11 +102,13 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
     return WindowReport(_first_hit(n - k, n, r, n - 1) if r else 0, m, k * m // n)
 
 
-def is_admissible(word: str, s: int, t: int) -> AdmissibilityVerdict:
-    """Does every circular window of s consecutive spots hold >= t letters A?"""
+def is_admissible(word: str, s: int, t: int) -> bool:
+    """Does every circular window of s consecutive spots hold >= t letters A?
+
+    The lightest window, a violating one when False, is min_weight_window(word, s).
+    """
     _check_quota(t)
-    witness = min_weight_window(word, s)
-    return AdmissibilityVerdict(witness.weight >= t, witness)
+    return min(window_weight_profile(word, s)) >= t
 
 
 def criterion(query: AdmissibilityQuery) -> bool:
