@@ -7,6 +7,7 @@ with stable field names.
 """
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -219,7 +220,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The process's one shared parser, built on first call; treat it as read-only."""
     parser = _Parser(
         prog="mechwords",
         description="Balanced circular two-letter arrangements and their checks.")

@@ -20,9 +20,11 @@ from mechwords import (
     discrepancy,
     euclid_trace,
     mechanical_word,
+    oracle,
     rotation_equivalent,
     smith_ladder,
     smith_quotients,
+    words,
 )
 from mechwords.cli import main
 
@@ -188,3 +190,29 @@ def test_9_recurrence_round_trip():
                 if gcd(n, k) == 1:
                     quotients = euclid_trace(n, k)[0]
                     assert naive.from_quotients(quotients) == (n, k)
+
+
+def test_10_mechanical_necklace_is_the_only_all_window_optimum():
+    with criterion_line("10 mechanical necklace unique optimum for every s, n<=18"):
+        def optimal_everywhere(word, windows):
+            n, k = len(word), word.count("A")
+            return all(min(windows(word, s)) >= k * s // n for s in range(1, n + 1))
+
+        necklaces = 0
+        for n in range(1, 19):
+            for k in range(1, n + 1):
+                weight_k = list(oracle._necklaces(n, k))
+                necklaces += len(weight_k)
+                found = [word for word in weight_k
+                         if optimal_everywhere(word, words._window_weights)]
+                assert found == [mechanical_word(n, k)], (n, k, found)
+        assert necklaces == 31219
+        # an independent reference for n <= 12: every word that is its own
+        # least rotation stands for its necklace, and windows come by slicing
+        for n in range(1, 13):
+            optimal = {}
+            for word in naive.all_words(n):
+                if ("A" in word and naive.min_rotation(word)[0] == word
+                        and optimal_everywhere(word, naive.windows)):
+                    optimal.setdefault(word.count("A"), []).append(word)
+            assert optimal == {k: [mechanical_word(n, k)] for k in range(1, n + 1)}, n

@@ -142,11 +142,9 @@ def test_generate_canonical_and_bits(capsys):
     assert out.strip() == "1110"
 
 
-def test_generate_canonical_matches_brute_force(capsys, monkeypatch):
+def test_generate_canonical_matches_brute_force(capsys):
     # --canonical prints the mechanical word without rotating anything; it
     # must be the least rotation of what each method builds
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     for n in range(2, 121):
         for k in range(1, n):
             methods = ["mechanical", "euclid"] + (["smith"] if gcd(n, k) == 1 else [])
@@ -159,9 +157,7 @@ def test_generate_canonical_matches_brute_force(capsys, monkeypatch):
                 assert canonical == naive.min_rotation(word.strip())[0] + "\n", argv
 
 
-def test_plan_canonical_is_least_rotation(capsys, monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_plan_canonical_is_least_rotation(capsys):
     for n in range(2, 41):
         for k in range(1, n):
             for s in {1, n // 2, n - 1}:
@@ -377,9 +373,7 @@ def test_discrepancy_builds_no_word(capsys, monkeypatch):
                    "bound applies (k <= n/2)\n")
 
 
-def test_discrepancy_matches_window_scan(capsys, monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_discrepancy_matches_window_scan(capsys):
     for n in range(2, 25):
         for k in range(1, n):
             word = words.mechanical_word(n, k)
@@ -399,9 +393,7 @@ def test_discrepancy_at_huge_n(capsys):
     assert record["bound"] == m - 2 * low
 
 
-def test_plan_witness_is_first_minimum_window(capsys, monkeypatch):
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_plan_witness_is_first_minimum_window(capsys):
     for n in range(2, 24):
         for k in range(1, n):
             for s in range(1, n):
@@ -412,6 +404,37 @@ def test_plan_witness_is_first_minimum_window(capsys, monkeypatch):
                     low = min(weights)
                     assert (record["witness_start"], record["witness_weight"]) == (
                         weights.index(low), low), (n, k, s, t)
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    # main parses every request with one shared parser; each flag comes just
+    # before the same request without it, and an input error before a good
+    # request, so a default or error that stuck would change a later answer
+    assert cli.build_parser() is cli.build_parser()
+    requests = [
+        "generate 12 5 --method smith --verbose --canonical --alphabet 01 --format machine",
+        "generate 12 5",
+        "check ABABB 2 1 --verbose",
+        "check ABABB 2 1",
+        "verify --n-max 5",
+        "verify 5",
+        "plan 4 5 2 1",
+        "plan 7 3 5 2",
+        "generate 12",
+        "frobnicate",
+        "plan 7 3 5 2 --canonical --format machine",
+        "plan 10 3 6 2",
+        "discrepancy 23 10 7 --format machine",
+        "discrepancy 23 10 7",
+    ]
+
+    def answers():
+        return [(main(argv.split()), *capsys.readouterr()) for argv in requests]
+
+    shared = answers()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert answers() == shared
+    assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 1, 0, 1, 1, 0, 2, 0, 0]
 
 
 def test_word_building_commands_stop_at_the_cap(capsys, monkeypatch):

@@ -5,6 +5,8 @@ import doctest
 import importlib
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).parent.parent
 SRC = ROOT / "src" / "mechwords"
@@ -18,6 +20,16 @@ def test_no_assert_statements_in_src():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def test_import_builds_no_parser():
+    # the CLI parser is built on the first main() call, never at import, so
+    # library users do not pay for it
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import mechwords, mechwords.cli; "
+             "print(mechwords.cli.build_parser.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC.parent)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "0\n"
 
 
 def test_public_names_and_module_map_resolve():
@@ -55,14 +67,12 @@ def test_readme_quick_start_runs():
     assert attempted and not failed, "".join(report)
 
 
-def test_readme_cli_transcript_runs(capsys, monkeypatch):
+def test_readme_cli_transcript_runs(capsys):
     # every "$ mechwords ..." line of the command-line section prints the lines
     # shown under it and exits with the status of its "# exit N" comment (0
     # when there is none)
     from mechwords import cli
 
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
