@@ -22,12 +22,15 @@ from .admissibility import (
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
 from .words import (
-    _check_quota, _check_slope, _check_window, _check_word, mechanical_word, to_bits)
+    _as_bits, _check_quota, _check_slope, _check_window, _check_word, mechanical_word)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NEGATIVE = 2
 
+# largest n_max verify takes: the balance sweep's (n, k, m) count grows like
+# n_max**3, and a fresh `verify 200` takes about 6 s (0.2 s at 50, 0.7-1 s at
+# 100; Python 3.11, shared 2-core host), far below oracle.LANE_N_MAX
 VERIFY_CAP = 200
 # largest n that generate and an admissible plan build a word for: plan peaks
 # at about 116 bytes per letter above the interpreter's 15 MB (the word, its
@@ -56,7 +59,8 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 
 
 def _rendered(word: str, args) -> str:
-    return to_bits(word) if args.alphabet == "01" else word
+    # every word rendered here was validated or built by the library
+    return _as_bits(word) if args.alphabet == "01" else word
 
 
 def _checked(fn, *args):

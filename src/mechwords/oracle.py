@@ -11,7 +11,7 @@ constructions' equivalence and the balance bounds of every mechanical word.
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import sub
+from struct import pack
 from typing import Iterator, NamedTuple
 
 from .admissibility import AdmissibilityQuery, criterion, is_admissible
@@ -20,6 +20,10 @@ from .words import _BYTES, A, B, check_balance, mechanical_word
 
 # largest n the search takes
 CAP = 20
+# the balance sweep's 16-bit lanes hold _HALF + weight - floor(m*k/n), which
+# stays in 0..2**16 while the length m <= 2n stays below _HALF
+_HALF = 1 << 15
+LANE_N_MAX = (_HALF - 1) // 2
 
 
 class OracleResult(NamedTuple):
@@ -76,6 +80,33 @@ def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
     return OracleResult(False, None, len(necklaces))
 
 
+def _unbalanced_lengths(prefix: list[int]) -> list[int]:
+    # the lengths m <= 2n at which a word of length n has a window outside
+    # floor(m*k/n)..ceil(m*k/n), from its prefix-count table P over three
+    # periods (3n + 1 entries). P is packed into one int of 16-bit lanes; lanes
+    # m..m+n-1 minus lanes 0..n-1 are the n window weights of length m, one
+    # big-int subtraction for all of them. Prefix counts never fall, so no lane
+    # borrows; lane i is offset to _HALF + w_i - floor, and |w_i - floor| <= m
+    # <= 2n < _HALF, so none carries or borrows either. The length is balanced
+    # when every lane reads _HALF or _HALF + 1 (all bits but the lowest read
+    # _HALF). When n divides m*k, floor = ceil needs no test of its own: the n
+    # weights sum to m*k, so a window at floor + 1 forces one below floor
+    n = len(prefix) // 3
+    weight = prefix[n]
+    packed = int.from_bytes(pack(f"<{len(prefix)}H", *prefix), "little")
+    mask = (1 << 16 * n) - 1
+    ones = mask // 0xFFFF
+    target = _HALF * ones
+    pair = 0xFFFE * ones
+    base = target - (packed & mask)
+    failing = []
+    for m in range(1, 2 * n + 1):
+        lanes = ((packed >> 16 * m) & mask) + base - m * weight // n * ones
+        if lanes & pair != target:
+            failing.append(m)
+    return failing
+
+
 def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     """Run verify's three sweeps up to n_max; return their counts and failures.
 
@@ -85,7 +116,13 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     A. Oracle grid, n <= 12: brute_force_exists agrees with criterion. Balance:
     each window of length m <= 2n of every mechanical word weighs floor(m*k/n)
     or ceil(m*k/n). Failures come equivalence first, then grid, then balance.
+    An n_max above LANE_N_MAX, whose windows overflow the balance sweep's
+    16-bit lanes, raises ValueError before any sweep runs.
     """
+    if n_max > LANE_N_MAX:
+        raise ValueError(
+            f"n_max={n_max} is above {LANE_N_MAX}, the largest n the balance "
+            f"sweep's 16-bit lanes hold")
     counts = {"equivalence_pairs": 0, "oracle_cells": 0, "balance_checks": 0}
     equivalence, grid, balance = [], [], []
 
@@ -116,14 +153,11 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
                     equivalence.append(
                         f"equivalence n={n} k={k}: arrange={built} "
                         f"recursion={from_recursion} mechanical={word}")
-            starts, weight = prefix[:n], prefix[n]
             counts["balance_checks"] += 2 * n
-            for m in range(1, 2 * n + 1):
-                bounds = {m * weight // n, -(-m * weight // n)}
-                if not set(map(sub, prefix[m:m + n], starts)) <= bounds:
-                    result = check_balance(word, m)
-                    balance.append(
-                        f"balance n={n} k={k} m={m}: window at start "
-                        f"{result.start} has weight {result.weight}, "
-                        f"bounds [{result.low}, {result.high}]")
+            for m in _unbalanced_lengths(prefix):
+                result = check_balance(word, m)
+                balance.append(
+                    f"balance n={n} k={k} m={m}: window at start "
+                    f"{result.start} has weight {result.weight}, "
+                    f"bounds [{result.low}, {result.high}]")
     return counts, equivalence + grid + balance

@@ -52,9 +52,14 @@ def parse_word(text: str) -> str:
     return text
 
 
+def _as_bits(word: str) -> str:
+    # to_bits for a word already known to be over {A, B}: no validation pass
+    return word.translate(_BITS)
+
+
 def to_bits(word: str) -> str:
     """Render a word as 0/1 digits (A -> 1, B -> 0)."""
-    return parse_word(word).translate(_BITS)
+    return _as_bits(parse_word(word))
 
 
 def _euclid_quotients(n: int, k: int) -> tuple[list[int], int]:

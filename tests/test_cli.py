@@ -142,6 +142,34 @@ def test_generate_canonical_and_bits(capsys):
     assert out.strip() == "1110"
 
 
+def test_bits_rendering_does_not_revalidate_words(capsys, monkeypatch):
+    # --alphabet 01 renders words the command has checked or built; it adds
+    # no parse_word pass to check and none at all to generate
+    calls = []
+    parse_word = words.parse_word
+
+    def counting(text):
+        calls.append(text)
+        return parse_word(text)
+
+    word = words.mechanical_word(30, 11)
+    bits = words.to_bits(word)
+    monkeypatch.setattr(words, "parse_word", counting)
+    monkeypatch.setattr(admissibility, "parse_word", counting)
+    passes = []
+    for alphabet in ("AB", "01"):
+        code, out, _ = run(capsys, "check", word, "7", "2", "--alphabet", alphabet)
+        assert code == 0 and "ADMISSIBLE" in out
+        passes.append(len(calls))
+        calls.clear()
+    assert passes[0] == passes[1] > 0
+    code, out, _ = run(capsys, "generate", "30", "11", "--method", "smith",
+                       "--verbose", "--alphabet", "01")
+    shown = out.splitlines()[-1]
+    assert code == 0 and len(shown) == 30 and shown in bits + bits
+    assert calls == []
+
+
 def test_generate_canonical_matches_brute_force(capsys):
     # --canonical prints the mechanical word without rotating anything; it
     # must be the least rotation of what each method builds

@@ -19,7 +19,9 @@ from mechwords import (
     min_weight_window,
     rotation_equivalent,
 )
-from mechwords.oracle import _necklaces, _shared_necklaces
+from mechwords import oracle
+from mechwords.oracle import (
+    LANE_N_MAX, _necklaces, _shared_necklaces, _unbalanced_lengths, verify_sweeps)
 
 
 def test_motivating_instance_has_no_arrangement():
@@ -181,3 +183,38 @@ def test_pigeonhole_certifies_impossibility():
                     for word in naive.words_of_weight(n, k):
                         assert pigeonhole_bound(word, s) < t
                         assert min_weight_window(word, s).weight < t
+
+
+def three_period_prefix(word):
+    # letters A among the first j letters of word*3, counted by slicing
+    periods = word * 3
+    return [periods[:j].count("A") for j in range(len(periods) + 1)]
+
+
+def test_unbalanced_lengths_match_naive_balance():
+    # every word over {A, B} with n <= 10, all weights, every length m <= 2n;
+    # then a few words of 300 letters, whose prefix counts need both bytes
+    # of a lane
+    rng = random.Random(18)
+    long_words = [mechanical_word(300, 127), "A" * 150 + "B" * 150,
+                  "".join(rng.choice("AB") for _ in range(300)),
+                  mechanical_word(300, 127).replace("AB", "BA", 1)]
+    for word in [*(w for n in range(1, 11) for w in naive.all_words(n)), *long_words]:
+        n = len(word)
+        expected = [m for m in range(1, 2 * n + 1) if not naive.balance_ok(word, m)]
+        assert _unbalanced_lengths(three_period_prefix(word)) == expected, word
+
+
+def test_verify_sweeps_refuses_lanes_it_cannot_hold(monkeypatch):
+    # past LANE_N_MAX a lane could carry into its neighbour; the refusal
+    # comes before the first grid cell or word, and LANE_N_MAX itself runs
+    def swept(*args):
+        raise RuntimeError("swept")
+
+    monkeypatch.setattr(oracle, "brute_force_exists", swept)
+    monkeypatch.setattr(oracle, "mechanical_word", swept)
+    assert 2 * LANE_N_MAX < 2 ** 15 <= 2 * (LANE_N_MAX + 1)
+    with pytest.raises(ValueError, match="16-bit lanes"):
+        verify_sweeps(LANE_N_MAX + 1)
+    with pytest.raises(RuntimeError, match="swept"):
+        verify_sweeps(LANE_N_MAX)
