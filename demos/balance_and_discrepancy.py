@@ -12,11 +12,12 @@ window is found without building the word (mechanical_window).
 """
 
 from mechwords import (
+    WindowReport,
     check_balance,
     discrepancy,
     mechanical_window,
     mechanical_word,
-    min_weight_window,
+    window_weight_profile,
 )
 
 
@@ -53,7 +54,9 @@ for m in range(1, n + 1):
     print(f" {m:3d} {discrepancy(word, m):5d} {closed_form(n, k, m):7d} {bound:6d}")
 
 # The lightest window, scanned and in closed form, with the same start.
-print(f"\nlightest 7-window, scanned:     {min_weight_window(word, 7)}")
+profile = window_weight_profile(word, 7)
+scanned = WindowReport(profile.index(min(profile)), 7, min(profile))
+print(f"\nlightest 7-window, scanned:     {scanned}")
 print(f"lightest 7-window, closed form: {mechanical_window(n, k, 7)}")
 big_n, big_k, big_m = 10**18 + 9, 381966011250105151, 333333333333333333
 print(f"at n = 10**18 + 9: {mechanical_window(big_n, big_k, big_m)}, "

@@ -12,10 +12,9 @@ is a working arrangement.
 from mechwords import (
     AdmissibilityQuery,
     brute_force_exists,
-    construct_admissible,
     criterion,
     is_admissible,
-    min_weight_window,
+    mechanical_word,
     window_weight_profile,
 )
 
@@ -38,13 +37,16 @@ bound = query.k * query.s // query.n
 print(f"pigeonhole: every lineup has a court with at most floor(k*s/n) = {bound} "
       f"< t = {query.t} A-shirts")
 lineup = "AAABBBBBBB"  # the naive lineup: all A-shirts bunched together
-witness = min_weight_window(lineup, query.s)
-print(f"naive lineup {lineup}: the court starting at spot {witness.start} "
-      f"has only {witness.weight} A-shirts")
+loads = window_weight_profile(lineup, query.s)
+lightest = min(loads)
+print(f"naive lineup {lineup}: the court starting at spot {loads.index(lightest)} "
+      f"has only {lightest} A-shirts")
 
-# Relax the house rules to one A-shirt per court and planning succeeds.
+# Relax the house rules to one A-shirt per court and the criterion holds, so
+# the mechanical word of slope k/n is an arrangement.
 relaxed = AdmissibilityQuery(10, 3, 6, 1)
-word = construct_admissible(relaxed)
+assert criterion(relaxed)
+word = mechanical_word(relaxed.n, relaxed.k)
 print(f"\nrelaxed to t=1: arrangement {word}")
 print("court loads by rotation:", window_weight_profile(word, relaxed.s))
 print("admissible:", is_admissible(word, relaxed.s, relaxed.t))
@@ -52,6 +54,7 @@ print("admissible:", is_admissible(word, relaxed.s, relaxed.t))
 # A smaller tournament where the original quota is fine: 7 players, 3 A-shirts,
 # 5 on court, at least 2 A-shirts required.
 small = AdmissibilityQuery(7, 3, 5, 2)
-word = construct_admissible(small)
+assert criterion(small)
+word = mechanical_word(small.n, small.k)
 print(f"\n(7, 3, 5, 2): criterion {small.n * small.t} <= {small.k * small.s}, "
       f"arrangement {word}, court loads {window_weight_profile(word, small.s)}")

@@ -23,12 +23,10 @@ The package splits into:
 from .admissibility import (
     AdmissibilityQuery,
     WindowReport,
-    construct_admissible,
     criterion,
     discrepancy,
     is_admissible,
     mechanical_window,
-    min_weight_window,
     window_weight_profile,
 )
 from .constructions import (
@@ -64,14 +62,12 @@ __all__ = [
     "brute_force_exists",
     "canonical_rotation",
     "check_balance",
-    "construct_admissible",
     "criterion",
     "discrepancy",
     "euclid_trace",
     "is_admissible",
     "mechanical_window",
     "mechanical_word",
-    "min_weight_window",
     "parse_word",
     "rotation_equivalent",
     "smith_ladder",

@@ -13,8 +13,7 @@ integer arithmetic alone.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import (
-    _check_quota, _check_slope, _check_window, _window_weights, mechanical_word, parse_word)
+from .words import _check_quota, _check_slope, _check_window, _check_word, _window_weights
 
 
 class WindowReport(NamedTuple):
@@ -44,25 +43,15 @@ class AdmissibilityQuery:
         _check_quota(self.t)
 
 
-def window_weight_profile(word: str, m: int) -> list[int]:
-    """Weights of all n circular windows of length m; entry i starts at spot i.
+def window_weight_profile(word: str, s: int) -> list[int]:
+    """Weights of all n circular windows of length s; entry i starts at spot i.
 
-    One running sum around the circle (the `words` window kernel), linear in n.
+    The word is checked once (letters, then non-empty), then s against 1..n;
+    one running sum around the circle (the `words` window kernel), linear in n.
     """
-    parse_word(word)
-    _check_window("window length", m, len(word))
-    return _window_weights(word, m)
-
-
-def _min_window(profile: list[int], m: int) -> WindowReport:
-    # the minimum-weight window of a length-m profile, smallest start on ties
-    w = min(profile)
-    return WindowReport(profile.index(w), m, w)
-
-
-def min_weight_window(word: str, m: int) -> WindowReport:
-    """The minimum-weight circular window of length m (smallest start on ties)."""
-    return _min_window(window_weight_profile(word, m), m)
+    _check_word(word)
+    _check_window("s", s, len(word))
+    return _window_weights(word, s)
 
 
 def _first_hit(a: int, mod: int, lo: int, hi: int) -> int:
@@ -88,12 +77,12 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
     """The lightest length-m window of mechanical_word(n, k), with no word built.
 
     For 0 < k <= n and any m >= 1 (a factor length of the periodic word, not
-    a window of the n-spot circle), in O(log n) integer steps. For m <= n it
-    equals min_weight_window(mechanical_word(n, k), m), smallest start on
-    ties; min_weight_window rejects m > n, where naive.windows in the tests is
-    the reference. By the ceiling formula the window from i weighs
-    floor(k*m/n) when (-k*i) % n >= (k*m) % n and one more otherwise, so the
-    start is the first such i (0 when n divides k*m).
+    a window of the n-spot circle), in O(log n) integer steps. For m <= n its
+    weight is the minimum of window_weight_profile(mechanical_word(n, k), m)
+    and its start the first index of that minimum; the profile rejects m > n,
+    where naive.windows in the tests is the reference. By the ceiling formula
+    the window from i weighs floor(k*m/n) when (-k*i) % n >= (k*m) % n and one
+    more otherwise, so the start is the first such i (0 when n divides k*m).
     """
     _check_slope(n, k)
     if m < 1:
@@ -105,7 +94,8 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
 def is_admissible(word: str, s: int, t: int) -> bool:
     """Does every circular window of s consecutive spots hold >= t letters A?
 
-    The lightest window, a violating one when False, is min_weight_window(word, s).
+    The lightest window, a violating one when False, is the minimum of
+    window_weight_profile(word, s), first start on ties, as `check` reports it.
     """
     _check_quota(t)
     return min(window_weight_profile(word, s)) >= t
@@ -114,17 +104,6 @@ def is_admissible(word: str, s: int, t: int) -> bool:
 def criterion(query: AdmissibilityQuery) -> bool:
     """Exact existence test: a t-admissible arrangement exists iff n*t <= k*s."""
     return query.n * query.t <= query.k * query.s
-
-
-def construct_admissible(query: AdmissibilityQuery) -> str | None:
-    """A t-admissible arrangement, or None when none exists.
-
-    When the criterion holds, the mechanical word of slope k/n works: each of
-    its s-windows holds at least floor(k*s/n) >= t letters A.
-    """
-    if not criterion(query):
-        return None
-    return mechanical_word(query.n, query.k)
 
 
 def discrepancy(word: str, m: int) -> int:

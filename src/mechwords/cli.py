@@ -12,17 +12,10 @@ import json
 import sys
 from typing import Sequence
 
-from .admissibility import (
-    AdmissibilityQuery,
-    _min_window,
-    criterion,
-    mechanical_window,
-    window_weight_profile,
-)
+from .admissibility import AdmissibilityQuery, criterion, mechanical_window, window_weight_profile
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
-from .words import (
-    _as_bits, _check_quota, _check_slope, _check_window, _check_word, mechanical_word)
+from .words import _as_bits, _check_quota, _check_slope, _check_window, mechanical_word
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -108,9 +101,7 @@ def cmd_generate(args) -> int:
     _check_word_cap(n)
     record = {"command": "generate", "n": n, "k": k, "method": args.method}
     lines = []
-    if args.method == "mechanical":
-        word = mechanical_word(n, k)
-    elif args.method == "euclid":
+    if args.method == "euclid":
         word = arrange(n, k)
         if args.verbose:
             quotients, remainders = euclid_trace(n, k)
@@ -125,7 +116,7 @@ def cmd_generate(args) -> int:
                           for idx, seq in enumerate(stages, 1)]
             else:
                 lines.append("no symbol stages (k divides n)")
-    else:  # smith
+    elif args.method == "smith":
         quotients = _checked(smith_quotients, n, k)
         ladder = smith_ladder(quotients)
         word = ladder[-1]
@@ -133,7 +124,7 @@ def cmd_generate(args) -> int:
             shown_ladder = [_rendered(w, args) for w in ladder]
             record.update(quotients=quotients, ladder=shown_ladder)
             lines += [f"S_{idx} = {w}" for idx, w in enumerate(shown_ladder, 1)]
-    if args.canonical:
+    if args.method == "mechanical" or args.canonical:
         # every method builds a rotation of the mechanical word, the least one
         word = mechanical_word(n, k)
     shown = _rendered(word, args)
@@ -145,23 +136,22 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     word, s, t = args.word, args.s, args.t
-    _checked(_check_word, word)
-    _checked(_check_window, "s", s, len(word))
+    # the profile is the one validation pass: letters, empty word, then s
+    profile = _checked(window_weight_profile, word, s)
     _checked(_check_quota, t)
-    profile = window_weight_profile(word, s)
-    witness = _min_window(profile, s)
-    admissible = witness.weight >= t
+    weight = min(profile)
+    start = profile.index(weight)
+    admissible = weight >= t
     shown = _rendered(word, args)
     record = {"command": "check", "word": shown, "n": len(word), "k": word.count("A"),
               "s": s, "t": t,
               "verdict": "admissible" if admissible else "not-admissible",
-              "witness_start": witness.start, "witness_weight": witness.weight}
+              "witness_start": start, "witness_weight": weight}
     if admissible:
         lines = [f"ADMISSIBLE: every window of {s} spots holds >= {t} letters A"]
     else:
-        lines = [f"NOT ADMISSIBLE: window at start {witness.start} "
-                 f"holds {witness.weight} < {t} letters A"]
-    lines.append(f"min window: start {witness.start}, weight {witness.weight}")
+        lines = [f"NOT ADMISSIBLE: window at start {start} holds {weight} < {t} letters A"]
+    lines.append(f"min window: start {start}, weight {weight}")
     if args.verbose:
         record.update(profile=profile)
         lines.append(f"window weights (s={s}): {' '.join(map(str, profile))}")

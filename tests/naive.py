@@ -15,6 +15,13 @@ def windows(word, m):
     return [ext[s:s + m].count("A") for s in range(n)]
 
 
+def lightest_window(word, m):
+    """(start, weight) of the lightest circular length-m window, smallest start on ties."""
+    weights = windows(word, m)
+    low = min(weights)
+    return weights.index(low), low
+
+
 def admissible(word, s, t):
     return min(windows(word, s)) >= t
 

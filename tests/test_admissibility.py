@@ -6,13 +6,11 @@ import naive
 from mechwords import (
     AdmissibilityQuery,
     WindowReport,
-    construct_admissible,
     criterion,
     discrepancy,
     is_admissible,
     mechanical_window,
     mechanical_word,
-    min_weight_window,
     rotation_equivalent,
     window_weight_profile,
 )
@@ -42,9 +40,21 @@ def test_window_weight_profile_range(m):
         window_weight_profile("ABAB", m)
 
 
-def test_min_weight_window_takes_smallest_start():
-    assert min_weight_window("ABAB", 1) == WindowReport(1, 1, 0)
-    assert min_weight_window("AAABBBBBBB", 6) == WindowReport(3, 6, 0)
+def test_profile_minimum_takes_smallest_start():
+    for word, m, expected in [("ABAB", 1, (1, 0)), ("AAABBBBBBB", 6, (3, 0))]:
+        profile = window_weight_profile(word, m)
+        low = min(profile)
+        assert (profile.index(low), low) == naive.lightest_window(word, m) == expected
+
+
+def test_empty_word_is_rejected_before_the_window():
+    for call in (lambda: window_weight_profile("", 1), lambda: is_admissible("", 1, 0),
+                 lambda: discrepancy("", 1)):
+        with pytest.raises(ValueError, match="^word must be non-empty$"):
+            call()
+    # letters are checked before emptiness and before the window length
+    with pytest.raises(ValueError, match="invalid letter"):
+        window_weight_profile("ABX", 0)
 
 
 def ceiling_weights(n, k, m, starts):
@@ -107,9 +117,9 @@ def test_mechanical_window_rejects_outside_domain(n, k, m):
 def test_is_admissible_examples():
     # the witness of either answer is the lightest window
     assert is_admissible("ABABABB", 5, 2) is True
-    assert min_weight_window("ABABABB", 5) == WindowReport(1, 5, 2)
+    assert naive.lightest_window("ABABABB", 5) == (1, 2)
     assert is_admissible("AAABBBBBBB", 6, 2) is False
-    assert min_weight_window("AAABBBBBBB", 6) == WindowReport(3, 6, 0)
+    assert naive.lightest_window("AAABBBBBBB", 6) == (3, 0)
     assert is_admissible("AB", 1, 0) is True
 
 
@@ -122,9 +132,10 @@ def test_query_validation():
     AdmissibilityQuery(10, 3, 6, 2)
     AdmissibilityQuery(4, 3, 2, 1)
     # k == n and s == n are inside the domain and answer like any other cell
-    assert construct_admissible(AdmissibilityQuery(4, 4, 2, 1)) == "AAAA"
-    assert construct_admissible(AdmissibilityQuery(4, 2, 4, 1)) == "ABAB"
-    assert construct_admissible(AdmissibilityQuery(4, 2, 4, 3)) is None
+    for (n, k, s, t), word in [((4, 4, 2, 1), "AAAA"), ((4, 2, 4, 1), "ABAB")]:
+        assert criterion(AdmissibilityQuery(n, k, s, t))
+        assert mechanical_word(n, k) == word and naive.admissible(word, s, t)
+    assert criterion(AdmissibilityQuery(4, 2, 4, 3)) is False
     for n, k, s, t in [(4, 5, 2, 1), (4, 0, 2, 1), (4, 2, 5, 1),
                        (4, 2, 0, 1), (4, 2, 2, -1), (0, 0, 0, 0)]:
         with pytest.raises(ValueError):
@@ -142,24 +153,27 @@ def test_criterion_examples():
 
 
 def test_construct_admissible():
-    assert construct_admissible(AdmissibilityQuery(7, 3, 5, 2)) == "ABABABB"
-    assert construct_admissible(AdmissibilityQuery(10, 3, 6, 2)) is None
-    word = construct_admissible(AdmissibilityQuery(4, 3, 2, 1))
+    # an admissible arrangement is built as: the criterion, then the
+    # mechanical word of slope k/n, which is t-admissible whenever it holds
+    assert criterion(AdmissibilityQuery(7, 3, 5, 2))
+    assert mechanical_word(7, 3) == "ABABABB"
+    assert criterion(AdmissibilityQuery(10, 3, 6, 2)) is False
+    assert criterion(AdmissibilityQuery(4, 3, 2, 1))
+    word = mechanical_word(4, 3)
     assert rotation_equivalent(word, "ABAA")
     assert is_admissible(word, 2, 1)
 
 
 def test_construct_admissible_is_sound_small():
+    # the mechanical word is t-admissible exactly when n*t <= k*s: it works
+    # whenever an arrangement exists, and none exists otherwise
     for n in range(2, 11):
         for k in range(1, n):
+            word = mechanical_word(n, k)
             for s in range(1, n):
                 for t in range(0, min(k, s) + 1):
                     query = AdmissibilityQuery(n, k, s, t)
-                    word = construct_admissible(query)
-                    if criterion(query):
-                        assert is_admissible(word, s, t)
-                    else:
-                        assert word is None
+                    assert naive.admissible(word, s, t) is criterion(query), query
 
 
 @pytest.mark.parametrize("n, k, s, t", [
@@ -168,8 +182,8 @@ def test_construct_admissible_is_sound_small():
     (360, 77, 240, 51),     # 18360 <= 18480
 ])
 def test_construct_admissible_spot_checks_large(n, k, s, t):
-    word = construct_admissible(AdmissibilityQuery(n, k, s, t))
-    assert is_admissible(word, s, t)
+    assert criterion(AdmissibilityQuery(n, k, s, t))
+    assert is_admissible(mechanical_word(n, k), s, t)
 
 
 def complement_holds(word, s, t):

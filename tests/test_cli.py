@@ -143,8 +143,9 @@ def test_generate_canonical_and_bits(capsys):
 
 
 def test_bits_rendering_does_not_revalidate_words(capsys, monkeypatch):
-    # --alphabet 01 renders words the command has checked or built; it adds
-    # no parse_word pass to check and none at all to generate
+    # check validates its word in one parse_word pass, inside
+    # window_weight_profile; --alphabet 01 renders words the command has
+    # checked or built, so it adds no pass to check and none at all to generate
     calls = []
     parse_word = words.parse_word
 
@@ -155,19 +156,34 @@ def test_bits_rendering_does_not_revalidate_words(capsys, monkeypatch):
     word = words.mechanical_word(30, 11)
     bits = words.to_bits(word)
     monkeypatch.setattr(words, "parse_word", counting)
-    monkeypatch.setattr(admissibility, "parse_word", counting)
     passes = []
     for alphabet in ("AB", "01"):
         code, out, _ = run(capsys, "check", word, "7", "2", "--alphabet", alphabet)
         assert code == 0 and "ADMISSIBLE" in out
         passes.append(len(calls))
         calls.clear()
-    assert passes[0] == passes[1] > 0
+    assert passes == [1, 1]
     code, out, _ = run(capsys, "generate", "30", "11", "--method", "smith",
                        "--verbose", "--alphabet", "01")
     shown = out.splitlines()[-1]
     assert code == 0 and len(shown) == 30 and shown in bits + bits
     assert calls == []
+
+
+def test_generate_builds_the_mechanical_word_once(capsys, monkeypatch):
+    calls = []
+    build = cli.mechanical_word
+
+    def counting(n, k):
+        calls.append((n, k))
+        return build(n, k)
+
+    monkeypatch.setattr(cli, "mechanical_word", counting)
+    for flags in ([], ["--canonical"]):
+        code, out, _ = run(capsys, "generate", "23", "10", *flags)
+        assert (code, out) == (0, "ABABABABBABABABBABABABB\n")
+        assert calls == [(23, 10)], flags
+        calls.clear()
 
 
 def test_generate_canonical_matches_brute_force(capsys):
@@ -232,6 +248,16 @@ def test_check_rejects_foreign_letters(capsys):
     code, _, err = run(capsys, "check", "ABXA", "2", "1")
     assert code == 1
     assert "invalid letter" in err
+
+
+def test_check_witness_is_first_minimum_window(capsys):
+    # ties between windows go to the smallest start
+    for n in range(1, 9):
+        for word in naive.all_words(n):
+            for s in range(1, n + 1):
+                code, record, _ = machine(capsys, "check", word, str(s), "0")
+                witness = (record["witness_start"], record["witness_weight"])
+                assert code == 0 and witness == naive.lightest_window(word, s), (word, s)
 
 
 def test_check_verbose_profile_matches_machine(capsys):
@@ -469,8 +495,7 @@ def test_word_building_commands_stop_at_the_cap(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("no word may be built above the cap")
 
-    for module, name in ((cli, "mechanical_word"), (cli, "arrange"),
-                         (cli, "smith_ladder"), (admissibility, "mechanical_word")):
+    for module, name in ((cli, "mechanical_word"), (cli, "arrange"), (cli, "smith_ladder")):
         monkeypatch.setattr(module, name, refuse)
     n = 10**12
     for argv in (["generate", str(n), "381966011251"],

@@ -11,12 +11,10 @@ import naive
 from mechwords import (
     AdmissibilityQuery,
     OracleResult,
-    WindowReport,
     brute_force_exists,
     criterion,
     is_admissible,
     mechanical_word,
-    min_weight_window,
     rotation_equivalent,
 )
 from mechwords import oracle
@@ -155,20 +153,16 @@ def pigeonhole_bound(word, s):
 
 
 def test_pigeonhole_witness_examples():
-    assert min_weight_window("AAABBBBBBB", 6) == WindowReport(3, 6, 0)
-    report = min_weight_window("ABABAB", 2)
-    assert report.weight == pigeonhole_bound("ABABAB", 2) == 1
-    report = min_weight_window(mechanical_word(10, 3), 6)
-    assert report == WindowReport(4, 6, 1)  # weight = floor(18/10)
+    assert naive.lightest_window("AAABBBBBBB", 6) == (3, 0)
+    assert naive.lightest_window("ABABAB", 2)[1] == pigeonhole_bound("ABABAB", 2) == 1
+    assert naive.lightest_window(mechanical_word(10, 3), 6) == (4, 1)  # weight = floor(18/10)
 
 
 def test_pigeonhole_bound_holds_everywhere():
     for n in range(2, 11):
         for word in naive.all_words(n):
             for s in range(1, n):
-                report = min_weight_window(word, s)
-                assert report.weight <= pigeonhole_bound(word, s)
-                assert report.weight == min(naive.windows(word, s))
+                assert naive.lightest_window(word, s)[1] <= pigeonhole_bound(word, s)
 
 
 def test_pigeonhole_certifies_impossibility():
@@ -182,7 +176,7 @@ def test_pigeonhole_certifies_impossibility():
                         continue
                     for word in naive.words_of_weight(n, k):
                         assert pigeonhole_bound(word, s) < t
-                        assert min_weight_window(word, s).weight < t
+                        assert naive.lightest_window(word, s)[1] < t
 
 
 def three_period_prefix(word):
