@@ -6,14 +6,20 @@ A. Such an arrangement exists exactly when n*t <= k*s, and the mechanical word
 of slope k/n always works.
 
 On that word no window needs scanning: its length-m windows weigh
-floor(k*m/n) or one more, and `mechanical_window` finds the lightest one by
-integer arithmetic alone.
+floor(k*m/n) or one more, so `mechanical_window` finds the lightest one by
+integer arithmetic alone, and `_mechanical_excess` gives the whole profile as
+that floor plus one 0/1 byte per window: the parity prefix of the word XOR its
+rotation, computed on the word packed into one int, with no window summed.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import _check_quota, _check_slope, _check_window, _check_word, _window_weights
+from .words import (
+    A, _as_bits, _check_quota, _check_slope, _check_window, _check_word, _window_weights)
+
+# digits of the packed excess word as the 0/1 bytes _mechanical_excess returns
+_EXCESS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class WindowReport(NamedTuple):
@@ -91,6 +97,38 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
     return WindowReport(_first_hit(n - k, n, r, n - 1) if r else 0, m, k * m // n)
 
 
+def _mechanical_excess(word: str, s: int) -> tuple[int, bytes]:
+    """window_weight_profile(word, s) of a balanced word as (low, excess).
+
+    Holds only for balanced words, such as every mechanical_word: on any other
+    word the result is wrong, not an error. The word is non-empty over {A, B}
+    and 1 <= s <= n; nothing is validated. Weight i is low + excess[i], with
+    low = floor(k*s/n) and excess n bytes of 0/1.
+
+    Balance makes every weight low or low + 1, so each excess is one bit, and
+    weight[i+1] - weight[i] = x[i+s] - x[i] (x the word as 0/1) gives
+    excess[i+1] = excess[i] ^ x[i] ^ x[i+s]. The excesses are therefore the
+    exclusive prefix XOR of y = x ^ (x rotated left by s), seeded with
+    excess[0] = word.count(A, 0, s) - low. Packed as one int, spot 0 is the
+    top bit: p ^= p >> shift with shift doubling folds every higher bit into
+    each lower one (the inclusive prefix) in about log2(n) big-int steps, one
+    more >> 1 makes it exclusive, and flipping all n bits applies a seed of 1.
+    Base-2 int() and format() have no digit limit, so any n is taken.
+    """
+    n = len(word)
+    low = word.count(A) * s // n
+    bits = _as_bits(word)
+    p = int(bits, 2) ^ int(bits[s:] + bits[:s], 2)
+    shift = 1
+    while shift < n:
+        p ^= p >> shift
+        shift *= 2
+    p >>= 1
+    if word.count(A, 0, s) > low:
+        p ^= (1 << n) - 1
+    return low, format(p, f"0{n}b").encode().translate(_EXCESS)
+
+
 def is_admissible(word: str, s: int, t: int) -> bool:
     """Does every circular window of s consecutive spots hold >= t letters A?
 
@@ -108,4 +146,6 @@ def criterion(query: AdmissibilityQuery) -> bool:
 
 def discrepancy(word: str, m: int) -> int:
     """Max over length-m windows of |#A - #B| (coloring A -> +1, B -> -1)."""
-    return max(abs(2 * w - m) for w in window_weight_profile(word, m))
+    _check_word(word)
+    _check_window("m", m, len(word))
+    return max(abs(2 * w - m) for w in _window_weights(word, m))

@@ -12,7 +12,8 @@ import json
 import sys
 from typing import Sequence
 
-from .admissibility import AdmissibilityQuery, criterion, mechanical_window, window_weight_profile
+from .admissibility import (
+    AdmissibilityQuery, _mechanical_excess, criterion, mechanical_window, window_weight_profile)
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
 from .words import _as_bits, _check_quota, _check_slope, _check_window, mechanical_word
@@ -26,9 +27,10 @@ EXIT_NEGATIVE = 2
 # 100; Python 3.11, shared 2-core host), far below oracle.LANE_N_MAX
 VERIFY_CAP = 200
 # largest n that generate and an admissible plan build a word for: plan peaks
-# at about 116 bytes per letter above the interpreter's 15 MB (the word, its
-# window profile and the rendered output; 132 MB at n = 1e6, 248 MB at 2e6),
-# so one request stays near 1.2 GB at the cap
+# at about 24 bytes per letter above the interpreter's 15 MB in text and 29 in
+# machine format (the word, its packed profile and the rendered output; 39 and
+# 44 MB at n = 1e6, 61 and 73 MB at 2e6, fresh processes, Python 3.11), so one
+# request stays near 0.3 GB at the cap
 WORD_CAP = 10**7
 
 
@@ -81,15 +83,23 @@ def cmd_plan(args) -> int:
     _check_word_cap(query.n)
     # --canonical is a no-op: the mechanical word is its least rotation
     word = mechanical_word(query.n, query.k)
-    profile = window_weight_profile(word, query.s)
+    # the word is balanced, so each window weighs low + its 0/1 excess byte
+    low, excess = _mechanical_excess(word, query.s)
     witness = mechanical_window(query.n, query.k, query.s)
     shown = _rendered(word, args)
-    record.update(verdict="admissible", word=shown, profile=profile,
-                  witness_start=witness.start, witness_weight=witness.weight)
+    record.update(verdict="admissible", word=shown)
+    if args.format == "machine":
+        record.update(profile=list(map((low, low + 1).__getitem__, excess)),
+                      witness_start=witness.start, witness_weight=witness.weight)
+        _emit(args, record, [])
+        return EXIT_OK
+    # the first replacement writes no 0 byte; [:-1] drops the trailing space
+    weights = excess.replace(b"\x01", f"{low + 1} ".encode()).replace(
+        b"\x00", f"{low} ".encode())[:-1].decode()
     _emit(args, record, [
         f"ADMISSIBLE: nt = {nt} <= ks = {ks}",
         f"arrangement: {shown}",
-        f"window weights (s={query.s}): {' '.join(map(str, profile))}",
+        f"window weights (s={query.s}): {weights}",
         f"min window: start {witness.start}, weight {witness.weight}",
     ])
     return EXIT_OK
@@ -101,8 +111,10 @@ def cmd_generate(args) -> int:
     _check_word_cap(n)
     record = {"command": "generate", "n": n, "k": k, "method": args.method}
     lines = []
+    # --canonical prints mechanical_word, so no method builds its own word then
     if args.method == "euclid":
-        word = arrange(n, k)
+        if not args.canonical:
+            word = arrange(n, k)
         if args.verbose:
             quotients, remainders = euclid_trace(n, k)
             r = [n, k] + remainders
@@ -118,8 +130,9 @@ def cmd_generate(args) -> int:
                 lines.append("no symbol stages (k divides n)")
     elif args.method == "smith":
         quotients = _checked(smith_quotients, n, k)
-        ladder = smith_ladder(quotients)
-        word = ladder[-1]
+        if args.verbose or not args.canonical:
+            ladder = smith_ladder(quotients)
+            word = ladder[-1]
         if args.verbose:
             shown_ladder = [_rendered(w, args) for w in ladder]
             record.update(quotients=quotients, ladder=shown_ladder)

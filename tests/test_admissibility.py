@@ -1,5 +1,7 @@
 """Window profiles, the nt <= ks criterion, complement restatement, discrepancy."""
 
+import random
+
 import pytest
 
 import naive
@@ -14,6 +16,8 @@ from mechwords import (
     rotation_equivalent,
     window_weight_profile,
 )
+from mechwords.admissibility import _mechanical_excess
+from mechwords.words import _window_weights
 
 
 @pytest.mark.parametrize("word, m, expected", [
@@ -55,6 +59,26 @@ def test_empty_word_is_rejected_before_the_window():
     # letters are checked before emptiness and before the window length
     with pytest.raises(ValueError, match="invalid letter"):
         window_weight_profile("ABX", 0)
+
+
+def test_mechanical_excess_matches_enumeration():
+    # k == n, s == n, n | k*s and gcd(n, k) > 1 all fall inside the grid
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            word = mechanical_word(n, k)
+            for s in range(1, n + 1):
+                low, excess = _mechanical_excess(word, s)
+                assert len(excess) == n and set(excess) <= {0, 1}
+                assert [low + e for e in excess] == naive.windows(word, s), (n, k, s)
+
+
+def test_mechanical_excess_matches_window_kernel_at_large_n():
+    rng = random.Random(20)
+    for n in [2 * 10**5] + [rng.randint(1, 2 * 10**5) for _ in range(24)]:
+        k, s = rng.randint(1, n), rng.randint(1, n)
+        word = mechanical_word(n, k)
+        low, excess = _mechanical_excess(word, s)
+        assert [low + e for e in excess] == _window_weights(word, s), (n, k, s)
 
 
 def ceiling_weights(n, k, m, starts):
@@ -227,6 +251,13 @@ def test_rotation_invariance():
 ])
 def test_discrepancy_examples(word, m, expected):
     assert discrepancy(word, m) == expected
+
+
+def test_discrepancy_names_its_window_length():
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.4, got 5$"):
+        discrepancy("ABAB", 5)
+    with pytest.raises(ValueError, match="invalid letter"):
+        discrepancy("ABX", 5)
 
 
 def test_discrepancy_mechanical_23_10():

@@ -1,5 +1,10 @@
 """Command-line behavior: exit codes, text/machine parity, flags."""
 
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
 import json
 import re
 from math import gcd
@@ -186,6 +191,63 @@ def test_generate_builds_the_mechanical_word_once(capsys, monkeypatch):
         calls.clear()
 
 
+def test_generate_canonical_builds_no_discarded_word(capsys, monkeypatch):
+    # --canonical prints mechanical_word, so arrange never runs under it and
+    # smith_ladder runs only to print the --verbose ladder
+    calls = []
+
+    def counting(name, build):
+        def wrapped(*args):
+            calls.append(name)
+            return build(*args)
+        return wrapped
+
+    for name in ("arrange", "smith_ladder"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    expected = {
+        ("euclid",): ["arrange"], ("euclid", "--canonical"): [],
+        ("euclid", "--canonical", "--verbose"): [],
+        ("smith",): ["smith_ladder"], ("smith", "--canonical"): [],
+        ("smith", "--canonical", "--verbose"): ["smith_ladder"],
+    }
+    for (method, *flags), built in expected.items():
+        code, out, _ = run(capsys, "generate", "23", "10", "--method", method, *flags)
+        assert code == 0 and calls == built, (method, flags)
+        calls.clear()
+    # smith still rejects a non-coprime pair under --canonical
+    code, _, err = run(capsys, "generate", "12", "4", "--method", "smith", "--canonical")
+    assert code == 1 and "not coprime" in err and calls == []
+
+
+# sha256 over every generate request below, computed with the builds that
+# --canonical discarded still in place; an intended output change updates it
+GENERATE_DIGEST = "eedeaeba437af831e8b436b30865653df9c239376e0e8e5ae2d0f885a3019e6d"
+
+
+def test_generate_output_is_pinned():
+    # every n in 1..39, k in 0..n+1, method and flag combination, handled
+    # without the parser so the corpus stays cheap
+    digest = hashlib.sha256()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for n in range(1, 40):
+            for k in range(0, n + 2):
+                for method, canonical, verbose, alphabet, fmt in itertools.product(
+                        ("mechanical", "euclid", "smith"), (False, True), (False, True),
+                        ("AB", "01"), ("text", "machine")):
+                    args = argparse.Namespace(
+                        n=n, k=k, method=method, canonical=canonical, verbose=verbose,
+                        alphabet=alphabet, format=fmt)
+                    try:
+                        code = cli.cmd_generate(args)
+                    except cli.InputError as exc:
+                        code = f"error: {exc}"
+                    digest.update(repr((vars(args), code, out.getvalue())).encode())
+                    out.seek(0)
+                    out.truncate()
+    assert digest.hexdigest() == GENERATE_DIGEST
+
+
 def test_generate_canonical_matches_brute_force(capsys):
     # --canonical prints the mechanical word without rotating anything; it
     # must be the least rotation of what each method builds
@@ -359,13 +421,31 @@ def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
         return words._window_weights(word, m)
 
     monkeypatch.setattr(admissibility, "_window_weights", counting)
+    # plan scans no window at all: its profile comes from the parity kernel
     code, record, _ = machine(capsys, "plan", "1000", "382", "17", "6")
     assert code == 0 and record["witness_weight"] == 6
-    assert calls == [17]
-    calls.clear()
+    assert record["profile"] == naive.windows(words.mechanical_word(1000, 382), 17)
+    assert calls == []
     code, record, _ = machine(capsys, "check", "ABABABB", "5", "2", "--verbose")
     assert code == 0 and record["profile"] == naive.windows("ABABABB", 5)
     assert calls == [5]
+
+
+def test_plan_profile_matches_enumeration(capsys):
+    # the text line and the machine field, under --alphabet 01 and --canonical
+    for n in range(1, 19):
+        for k in range(1, n + 1):
+            word = words.mechanical_word(n, k)
+            for s in range(1, n + 1):
+                weights = naive.windows(word, s)
+                argv = ["plan", str(n), str(k), str(s), str(min(weights))]
+                for flags in (["--alphabet", "01"], ["--canonical"]):
+                    code, out, _ = run(capsys, *argv, *flags)
+                    assert code == 0
+                    assert out.splitlines()[2] == (
+                        f"window weights (s={s}): {' '.join(map(str, weights))}"), argv
+                    code, record, _ = machine(capsys, *argv, *flags)
+                    assert code == 0 and record["profile"] == weights, argv
 
 
 def test_verify_smallest_range(capsys):
