@@ -178,11 +178,9 @@ def cmd_verify(args) -> int:
     n_max = args.n_max_flag if args.n_max is None else args.n_max
     if n_max is None:
         raise InputError("n_max is required")
-    if n_max < 1:
-        raise InputError(f"n_max must be positive, got {n_max}")
     if n_max > VERIFY_CAP:
         raise InputError(f"n_max above the verification cap {VERIFY_CAP}")
-    counts, failures = verify_sweeps(n_max)
+    counts, failures = _checked(verify_sweeps, n_max)
     record = {"command": "verify", "n_max": n_max, **counts,
               "verdict": "pass" if not failures else "fail",
               "failures": failures}

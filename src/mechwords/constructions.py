@@ -9,7 +9,7 @@ quotient. Rotation utilities make "same necklace" checkable.
 from typing import Sequence
 
 from .words import (
-    A, B, _check_slope, _check_word, _euclid_quotients, _smith_ladder, parse_word)
+    A, B, _check_slope, _check_word, _euclid, _smith_ladder, parse_word)
 
 PLUS = "+"
 MINUS = "-"
@@ -24,12 +24,7 @@ def euclid_trace(n: int, k: int) -> tuple[list[int], list[int]]:
     The remainders stop at the first 0, so r[-2] is gcd(n, k).
     """
     _check_slope(n, k)
-    quotients, remainders = _euclid_quotients(n, k)[0], []
-    a, b = n, k
-    for q in quotients:
-        a, b = b, a - q * b
-        remainders.append(b)
-    return quotients, remainders
+    return _euclid(n, k)[:2]
 
 
 def symbol_stages(n: int, k: int) -> list[str]:
@@ -64,7 +59,7 @@ def arrange(n: int, k: int) -> str:
     under them.
     """
     _check_slope(n, k)
-    quotients, g = _euclid_quotients(n, k)
+    quotients, _, g = _euclid(n, k)
     # letter map + -> AB^q, - -> AB^(q-1) for the first quotient, then each
     # later one composes + -> +-^q, - -> +-^(q-1); the last - is the seed block
     plus, minus = A, B
@@ -76,7 +71,7 @@ def arrange(n: int, k: int) -> str:
 def smith_quotients(n: int, k: int) -> list[int]:
     """Quotients of coprime n/k with the first lowered by 1, for Smith's length-n word."""
     _check_slope(n, k)
-    quotients, g = _euclid_quotients(n, k)
+    quotients, _, g = _euclid(n, k)
     if g != 1:
         raise ValueError(f"n and k not coprime (gcd {g})")
     quotients[0] -= 1

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 from struct import pack
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .admissibility import AdmissibilityQuery, criterion, is_admissible
 from .constructions import arrange, rotation_equivalent, smith_ladder, smith_quotients
@@ -32,33 +32,30 @@ class OracleResult(NamedTuple):
     instances_checked: int
 
 
-def _necklaces(n: int, k: int) -> Iterator[str]:
+@lru_cache(maxsize=1)
+def _necklaces(n: int, k: int) -> tuple[str, ...]:
     # length-n necklaces with k letters A as least rotations (A < B), in
     # lexicographic order: Fredricksen-Kessler-Maiorana prenecklaces cut to
     # fixed density (Ruskey-Sawada). Behind the sentinel a[0] = A, position t
     # copies a[t-p] or, when that is A, takes B and sets p = t. A branch whose A
-    # count cannot end at k is cut; a full prenecklace with p | n is a necklace
+    # count cannot end at k is cut; a full prenecklace with p | n is a necklace.
+    # The last pair's tuple is kept: a grid asks every (s, t) of one (n, k) in
+    # a row. A tuple is never mutated, so threads read it without a lock;
+    # memory stays at one pair's necklaces (9,252 strings at the cap)
+    necklaces = []
     stack = [(A, 1, 0)]
     while stack:
         word, p, weight = stack.pop()
         t = len(word)
         if t > n:
             if n % p == 0:
-                yield word[1:]
+                necklaces.append(word[1:])
             continue
         if weight + n - t >= k:
             stack.append((word + B, t if word[t - p] == A else p, weight))
         if word[t - p] == A and weight < k:
             stack.append((word + A, p, weight + 1))
-
-
-@lru_cache(maxsize=1)
-def _shared_necklaces(n: int, k: int) -> tuple[str, ...]:
-    # the last pair's necklaces, generated whole: a grid asks every (s, t) of
-    # one (n, k) in a row, and each query walks this tuple from the first
-    # necklace. A tuple is never mutated, so threads read it without a lock;
-    # memory stays at one pair's necklaces (9,252 strings at the cap)
-    return tuple(_necklaces(n, k))
+    return tuple(necklaces)
 
 
 def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
@@ -68,12 +65,11 @@ def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
     first hit. The least admissible word is its own least rotation, so the
     witness is the least admissible word of all C(n, k). instances_checked
     counts the necklaces tried. A query with n above CAP is refused, which
-    guards against blowup. The necklaces of the last (n, k) asked are kept
-    and shared by the next queries on that pair.
+    guards against blowup.
     """
     if query.n > CAP:
         raise ValueError(f"n={query.n} is above the brute-force cap {CAP}")
-    necklaces = _shared_necklaces(query.n, query.k)
+    necklaces = _necklaces(query.n, query.k)
     for checked, word in enumerate(necklaces, 1):
         if is_admissible(word, query.s, query.t):
             return OracleResult(True, word, checked)
@@ -116,9 +112,12 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     A. Oracle grid, n <= 12: brute_force_exists agrees with criterion. Balance:
     each window of length m <= 2n of every mechanical word weighs floor(m*k/n)
     or ceil(m*k/n). Failures come equivalence first, then grid, then balance.
-    An n_max above LANE_N_MAX, whose windows overflow the balance sweep's
-    16-bit lanes, raises ValueError before any sweep runs.
+    n_max must lie in 1..LANE_N_MAX: a smaller one would pass vacuously, and
+    a larger one's windows overflow the balance sweep's 16-bit lanes. Either
+    raises ValueError before any sweep runs.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
     if n_max > LANE_N_MAX:
         raise ValueError(
             f"n_max={n_max} is above {LANE_N_MAX}, the largest n the balance "

@@ -62,13 +62,15 @@ def to_bits(word: str) -> str:
     return _as_bits(parse_word(word))
 
 
-def _euclid_quotients(n: int, k: int) -> tuple[list[int], int]:
-    # quotients of the Euclidean algorithm on (n, k), k >= 1, and gcd(n, k)
-    quotients = []
+def _euclid(n: int, k: int) -> tuple[list[int], list[int], int]:
+    # quotients and remainders (up to the first 0) of the Euclidean algorithm
+    # on (n, k), k >= 1, and gcd(n, k)
+    quotients, remainders = [], []
     while k:
         quotients.append(n // k)
         n, k = k, n % k
-    return quotients, n
+        remainders.append(k)
+    return quotients, remainders, n
 
 
 def _smith_ladder(quotients: Sequence[int]) -> list[str]:
@@ -95,7 +97,7 @@ def mechanical_word(n: int, k: int) -> str:
     _check_slope(n, k)
     if k == n:
         return A * n
-    quotients, g = _euclid_quotients(n, k)
+    quotients, _, g = _euclid(n, k)
     quotients[0] -= 1
     tail = _smith_ladder(quotients)[-1]
     return (A + tail[:-2] + B) * g

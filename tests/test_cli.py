@@ -10,7 +10,7 @@ import re
 from math import gcd
 
 import naive
-from mechwords import admissibility, canonical_rotation, cli, oracle, words
+from mechwords import AdmissibilityQuery, admissibility, canonical_rotation, cli, oracle, words
 from mechwords.cli import main
 
 
@@ -399,6 +399,35 @@ def test_verify_reports_words_breaking_one_balance_bound(capsys, monkeypatch):
     assert [m for m, *_ in reported] == [2, 3, 4, 8, 9, 10]
     for m, start, weight, low, high in reported:
         assert words.check_balance("AABBBB", m) == (False, start, weight, low, high)
+
+
+def test_verify_reports_failures_in_sweep_order(capsys, monkeypatch):
+    # one broken coprime pair, one flipped grid cell and one unbalanced word:
+    # each sweep reports its own, equivalence first, then grid, then balance,
+    # although the grid runs first
+    arrange, criterion, mechanical_word = oracle.arrange, oracle.criterion, oracle.mechanical_word
+    monkeypatch.setattr(oracle, "arrange",
+                        lambda n, k: "AABBB" if (n, k) == (5, 2) else arrange(n, k))
+    monkeypatch.setattr(oracle, "criterion",
+                        lambda q: criterion(q) != (q == AdmissibilityQuery(7, 3, 5, 2)))
+    monkeypatch.setattr(oracle, "mechanical_word",
+                        lambda n, k: "AAABBB" if (n, k) == (6, 3) else mechanical_word(n, k))
+    code, record, _ = machine(capsys, "verify", "8")
+    assert code == 2 and record["verdict"] == "fail"
+    failures = record["failures"]
+    assert failures[0] == "equivalence n=5 k=2: arrange=AABBB recursion=BABAB mechanical=ABABB"
+    assert failures[1] == "criterion n=7 k=3 s=5 t=2"
+    assert failures[2:] and all(f.startswith("balance n=6 k=3 m=") for f in failures[2:])
+    code, out, _ = run(capsys, "verify", "8")
+    assert code == 2 and out.splitlines() == [f"FAIL: {f}" for f in failures]
+
+
+def test_verify_range_errors_come_from_library(capsys):
+    # the library owns n_max >= 1; the CLI reports its message unchanged
+    for argv in (["0"], ["-1"], ["--n-max", "0"]):
+        code, out, err = run(capsys, "verify", *argv)
+        n_max = argv[-1]
+        assert (code, out, err) == (1, "", f"error: n_max must be positive, got {n_max}\n")
 
 
 def test_verify_counts_follow_closed_forms(capsys):

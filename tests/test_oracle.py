@@ -19,7 +19,7 @@ from mechwords import (
 )
 from mechwords import oracle
 from mechwords.oracle import (
-    LANE_N_MAX, _necklaces, _shared_necklaces, _unbalanced_lengths, verify_sweeps)
+    LANE_N_MAX, _necklaces, _unbalanced_lengths, verify_sweeps)
 
 
 def test_motivating_instance_has_no_arrangement():
@@ -82,11 +82,20 @@ def grid_cells(sizes):
             for t in range(0, min(k, s) + 1)]
 
 
-def test_shared_necklaces_answer_in_any_order():
+def test_necklaces_are_cached():
+    # the grid's queries on one pair walk one tuple: a second call builds
+    # nothing, and the next pair replaces it, so one pair's tuple is kept
+    first = _necklaces(12, 5)
+    assert _necklaces(12, 5) is first
+    _necklaces(12, 6)
+    assert _necklaces(12, 5) is not first and _necklaces(12, 5) == first
+
+
+def test_cached_necklaces_answer_in_any_order():
     # queries share the last pair's necklaces; a seeded shuffle interleaves
     # pairs, so most queries start from a fresh buffer and the rest resume one
     cells = grid_cells(range(2, 13))
-    _shared_necklaces.cache_clear()
+    _necklaces.cache_clear()
     in_order = {cell: brute_force_exists(AdmissibilityQuery(*cell)) for cell in cells}
     random.Random(10).shuffle(cells)
     for cell in cells:
@@ -95,12 +104,12 @@ def test_shared_necklaces_answer_in_any_order():
         assert (result.exists, result.witness) == naive.first_admissible(*cell), cell
 
 
-def test_shared_necklaces_are_thread_safe():
+def test_cached_necklaces_are_thread_safe():
     # four threads read one pair's buffer at once, in grid order, with the
     # interpreter switching threads as often as it can
     cells = grid_cells((14, 15))
     serial = [brute_force_exists(AdmissibilityQuery(*cell)) for cell in cells]
-    _shared_necklaces.cache_clear()
+    _necklaces.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -115,11 +124,11 @@ def test_shared_necklaces_are_thread_safe():
 
 def test_first_hit_reads_one_necklace():
     # a trivial quota stops at the first of the 9,252 necklaces of (20, 10)
-    _shared_necklaces.cache_clear()
+    _necklaces.cache_clear()
     try:
         result = brute_force_exists(AdmissibilityQuery(20, 10, 10, 0))
     finally:
-        _shared_necklaces.cache_clear()
+        _necklaces.cache_clear()
     assert result == OracleResult(True, "A" * 10 + "B" * 10, 1)
 
 
@@ -212,3 +221,17 @@ def test_verify_sweeps_refuses_lanes_it_cannot_hold(monkeypatch):
         verify_sweeps(LANE_N_MAX + 1)
     with pytest.raises(RuntimeError, match="swept"):
         verify_sweeps(LANE_N_MAX)
+
+
+def test_verify_sweeps_refuses_empty_range(monkeypatch):
+    # an n_max below 1 would sweep nothing and pass; it is refused before the
+    # first grid cell or word, and 1 itself runs
+    def swept(*args):
+        raise RuntimeError("swept")
+
+    monkeypatch.setattr(oracle, "mechanical_word", swept)
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match=f"^n_max must be positive, got {n_max}$"):
+            verify_sweeps(n_max)
+    with pytest.raises(RuntimeError, match="swept"):
+        verify_sweeps(1)

@@ -90,3 +90,32 @@ def test_readme_cli_transcript_runs(capsys):
         captured = capsys.readouterr()
         assert (code, (captured.out + captured.err).splitlines()) == (
             expected_code, lines), command
+
+
+def test_private_names_are_used_in_src():
+    # every private module-level name of src/ is loaded somewhere in src/
+    # outside its own definition, so a refactor leaves no orphaned wrapper,
+    # table or helper behind
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    private = {name: node for name, node in defined.items()
+               if name.startswith("_") and not name.startswith("__")}
+    assert private
+    inside = {name: set(map(id, ast.walk(node))) for name, node in private.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in private and id(node) not in inside[name]:
+                used.add(name)
+    unused = sorted(set(private) - used)
+    assert not unused, f"private names nothing in src/ uses: {unused}"
