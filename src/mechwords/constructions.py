@@ -8,8 +8,7 @@ quotient. Rotation utilities make "same necklace" checkable.
 
 from typing import Sequence
 
-from .words import (
-    A, B, _check_slope, _check_word, _euclid, _smith_ladder, parse_word)
+from .words import A, B, _check_slope, _check_word, _euclid, _smith_ladder
 
 PLUS = "+"
 MINUS = "-"
@@ -93,37 +92,35 @@ def smith_ladder(quotients: Sequence[int]) -> list[str]:
     return _smith_ladder(quotients)
 
 
-def _least_rotation_index(word: str) -> int:
-    # Booth's least-rotation algorithm over word+word, linear time
-    doubled = word + word
-    fail = [-1] * len(doubled)
-    best = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - best - 1]
-        while i != -1 and c != doubled[best + i + 1]:
-            if c < doubled[best + i + 1]:
-                best = j - i - 1
-            i = fail[i]
-        if c != doubled[best + i + 1]:
-            if c < doubled[best]:
-                best = j
-            fail[j - best] = -1
-        else:
-            fail[j - best] = i + 1
-    return best
-
-
 def canonical_rotation(word: str) -> tuple[str, int]:
-    """Lexicographically least rotation (A < B) and the left shift reaching it."""
+    """Lexicographically least rotation (A < B) and the left shift reaching it.
+
+    A periodic word reaches it at several shifts; the smallest is returned.
+    One two-pointer scan over word + word, the only memory it takes besides
+    the result: i is the best start so far, j the next candidate, and k the
+    length on which their rotations agree. A mismatch rules out the loser's
+    whole agreeing run, so i + j grows by at least k + 1: the scan is linear.
+    """
     _check_word(word)
-    shift = _least_rotation_index(word)
-    return word[shift:] + word[:shift], shift
+    n = len(word)
+    doubled = word + word
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return doubled[i:i + n], i
 
 
 def rotation_equivalent(w1: str, w2: str) -> bool:
     """True when the two words are rotations of one another."""
-    parse_word(w1)
-    parse_word(w2)
+    _check_word(w1)
+    _check_word(w2)
     # same length and same canonical rotation <=> w2 occurs in w1 doubled
     return len(w1) == len(w2) and w2 in w1 + w1

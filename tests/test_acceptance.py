@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 import naive
 from mechwords import (
@@ -42,15 +43,18 @@ def criterion_line(label):
 def window_weights_by_length(word, max_m):
     """All circular window weights by independent prefix-sum enumeration.
 
-    Returns an array W with W[m-1, start] = weight of the length-m window at
-    `start`, for m = 1..max_m (max_m may reach 2n; the word is tripled so
-    every read is a plain slice).
+    Returns an int32 array W with W[m-1, start] = weight of the length-m
+    window at `start`, for m = 1..max_m (max_m may reach 2n; the word is
+    tripled so every read is a plain slice). Row `start` of a sliding view
+    over the prefix sums holds prefix[start:start + max_m + 1], so each
+    weight is one subtraction and no index array is built.
     """
     n = len(word)
-    prefix = np.cumsum([0] + [c == "A" for c in word * 3])
-    ms = np.arange(1, max_m + 1)
-    starts = np.arange(n)
-    return prefix[ms[:, None] + starts[None, :]] - prefix[starts][None, :]
+    # a leading B gives the prefix sums their initial 0
+    is_a = np.frombuffer(("B" + word * 3).encode(), np.uint8) == ord("A")
+    prefix = np.cumsum(is_a, dtype=np.int32)
+    rows = sliding_window_view(prefix, max_m + 1)[:n]
+    return (rows[:, 1:] - rows[:, :1]).T
 
 
 def test_1_criterion_equals_exhaustive_search():
@@ -72,9 +76,9 @@ def test_1_criterion_equals_exhaustive_search():
 def test_2_balance_bounds_full_range():
     with criterion_line("2 balance bounds n<=200, m<=2n"):
         for n in range(1, 201):
+            ms = np.arange(1, 2 * n + 1)
             for k in range(1, n + 1):
                 weights = window_weights_by_length(mechanical_word(n, k), 2 * n)
-                ms = np.arange(1, 2 * n + 1)
                 low = (ms * k) // n
                 high = -((-ms * k) // n)
                 assert (weights.min(axis=1) >= low).all(), (n, k)

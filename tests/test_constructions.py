@@ -1,6 +1,7 @@
 """Euclid ladder, quotient-ladder arrangement, word recursion, rotation tools."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -217,11 +218,43 @@ def test_canonical_rotation_matches_enumeration_random(word):
     assert canonical_rotation(word) == naive.min_rotation(word)
 
 
+@pytest.mark.parametrize("n, k", [
+    (1, 1), (7, 3), (12, 10), (30, 12), (1000, 381), (99_991, 38_197),
+    (100_000, 38_198), (100_000, 38_195), (100_000, 100_000),
+])
+def test_canonical_rotation_of_rotated_mechanical_words(n, k):
+    # mechanical_word(n, k) is its own least rotation and repeats every
+    # n/gcd(n, k) letters, so the word rotated left by c comes back at the
+    # smallest shift -c mod that period (gcd 1, 2, 5 and n above)
+    word = mechanical_word(n, k)
+    period = n // math.gcd(n, k)
+    for c in sorted({0, 1, period - 1, n // 3, n // 2 + 1, n - 1}):
+        rotated = word[c:] + word[:c]
+        assert canonical_rotation(rotated) == (word, -c % period), (n, k, c)
+
+
+def test_canonical_rotation_keeps_no_table():
+    # the scan holds word + word and its result, 3 bytes per letter; a table
+    # of one list slot per letter of word + word alone would be 16
+    n = 200_000
+    word = mechanical_word(n, 76_393)
+    word = word[n // 3:] + word[:n // 3]
+    tracemalloc.start()
+    try:
+        canonical_rotation(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+
+
 def test_rotation_equivalent_examples():
     assert rotation_equivalent(SMITH_1_3_3, ARRANGE_23_10)
     assert rotation_equivalent("AB", "BA")
     assert not rotation_equivalent("AAB", "ABB")
-    assert rotation_equivalent("", "")
+    for pair in [("", ""), ("", "A"), ("A", "")]:
+        with pytest.raises(ValueError):
+            rotation_equivalent(*pair)
     assert not rotation_equivalent("A", "AA")
 
 

@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Mutant catalogue: hand-made faults in src/ and the tests that must catch them.
+
+Each entry names a file under src/mechwords, an exact source snippet, its
+replacement, the pytest node ids that must catch it, and what is expected:
+"killed" (a named test fails, or the run hangs past the timeout) or
+"equivalent" (the mutant behaves like the program, so every named test
+passes; the comment above the entry says why). For each entry the script
+copies src/ to a temporary directory, applies that one replacement there and
+runs only the named tests against the copy.
+
+It exits 1 when a snippet does not occur exactly once in its file (the
+catalogue must follow each refactor), when the named tests fail on the
+unmutated copy, or when an outcome differs from its expectation. Stdlib only;
+it is not part of the test suite. Run from any directory:
+
+    python3 tools/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# seconds a mutant's tests may run before it counts as killed; each entry's
+# tests take about a second, and a mutant that loops forever must not stall
+TIMEOUT = 20
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    expect: str = "killed"
+
+
+ROTATION_TESTS = (
+    "tests/test_constructions.py::test_canonical_rotation_golden",
+    "tests/test_constructions.py::test_canonical_rotation_matches_enumeration",
+    "tests/test_constructions.py::test_canonical_rotation_of_rotated_mechanical_words",
+)
+LANE_TESTS = ("tests/test_oracle.py::test_unbalanced_lengths_match_naive_balance",)
+EXCESS_TESTS = ("tests/test_admissibility.py::test_mechanical_excess_matches_enumeration",)
+
+CATALOGUE = [
+    Mutant("rotation-comparison-flipped", "constructions.py",
+           "        if a > b:\n", "        if a < b:\n", ROTATION_TESTS),
+    # at k = 0 the candidate never moves, so the scan loops forever
+    Mutant("rotation-skip-without-step", "constructions.py",
+           "            j += k + 1\n", "            j += k\n", ROTATION_TESTS),
+    # rotations of one word hold the same number of letters A, so two that
+    # agree on n - 1 letters agree on all n: stopping there returns the same i
+    Mutant("rotation-stops-one-letter-early", "constructions.py",
+           "while j < n and k < n:", "while j < n and k < n - 1:", ROTATION_TESTS,
+           "equivalent"),
+    Mutant("rotation-returns-candidate", "constructions.py",
+           "return doubled[i:i + n], i", "return doubled[j:j + n], j", ROTATION_TESTS),
+    Mutant("euclid-remainder-before-update", "words.py",
+           "        n, k = k, n % k\n        remainders.append(k)\n",
+           "        remainders.append(k)\n        n, k = k, n % k\n",
+           ("tests/test_constructions.py::test_euclid_trace_23_10",)),
+    Mutant("arrange-concatenation-swapped", "constructions.py",
+           "plus, minus = plus + minus * q, plus + minus * (q - 1)",
+           "plus, minus = minus * q + plus, minus * (q - 1) + plus",
+           ("tests/test_constructions.py::test_arrange_golden",)),
+    Mutant("window-first-weight-off-by-one", "words.py",
+           "word.count(A, 0, r)", "word.count(A, 0, r + 1)",
+           ("tests/test_words.py::test_check_balance_agrees_with_enumeration",
+            "tests/test_words.py::test_check_balance_reports_first_violation")),
+    Mutant("mechanical-close-up-swapped", "words.py",
+           "return (A + tail[:-2] + B) * g", "return (B + tail[:-2] + A) * g",
+           ("tests/test_words.py::test_mechanical_word_golden",
+            "tests/test_words.py::test_mechanical_word_prefix_counts")),
+    Mutant("necklace-period-test-dropped", "oracle.py",
+           "            if n % p == 0:\n", "            if True:\n",
+           ("tests/test_oracle.py::test_necklaces_obey_burnside",)),
+    Mutant("necklace-cache-dropped", "oracle.py",
+           "@lru_cache(maxsize=1)\ndef _necklaces", "def _necklaces",
+           ("tests/test_oracle.py::test_necklaces_are_cached",)),
+    Mutant("lane-mask-drops-two-bits", "oracle.py",
+           "pair = 0xFFFE * ones", "pair = 0xFFFC * ones", LANE_TESTS),
+    Mutant("lane-floor-taken-as-ceil", "oracle.py",
+           "- m * weight // n * ones", "- -(-m * weight // n) * ones", LANE_TESTS),
+    Mutant("balance-lengths-only-up-to-n", "oracle.py",
+           "for m in range(1, 2 * n + 1):", "for m in range(1, n + 1):", LANE_TESTS),
+    Mutant("excess-seed-flip-dropped", "admissibility.py",
+           "        p ^= (1 << n) - 1\n", "        pass\n", EXCESS_TESTS),
+    Mutant("excess-rotation-by-s-minus-1", "admissibility.py",
+           "int(bits[s:] + bits[:s], 2)", "int(bits[s - 1:] + bits[:s - 1], 2)",
+           EXCESS_TESTS),
+    Mutant("excess-prefix-inclusive", "admissibility.py",
+           "    p >>= 1\n", "", EXCESS_TESTS),
+    Mutant("criterion-strict", "admissibility.py",
+           "query.n * query.t <= query.k * query.s", "query.n * query.t < query.k * query.s",
+           ("tests/test_admissibility.py::test_criterion_examples",)),
+    Mutant("check-witness-last-minimum", "cli.py",
+           "start = profile.index(weight)",
+           "start = len(profile) - 1 - profile[::-1].index(weight)",
+           ("tests/test_cli.py::test_check_witness_is_first_minimum_window",)),
+]
+
+
+def run_tests(src: Path, tests, timeout: float) -> tuple[bool, str]:
+    """Run the node ids against the package under src; (passed, summary)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True,
+                                text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {timeout:g} s"
+    lines = result.stdout.strip().splitlines()
+    return result.returncode == 0, lines[-1] if lines else f"exit {result.returncode}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        clean = ROOT / "src" / "mechwords"
+        shutil.copytree(clean, src / "mechwords", ignore=shutil.ignore_patterns("__pycache__"))
+
+        stale = [m.name for m in CATALOGUE
+                 if (clean / m.file).read_text(encoding="utf-8").count(m.snippet) != 1]
+        if stale:
+            print(f"snippets that do not occur exactly once: {', '.join(stale)}")
+            return 1
+        tests = sorted({t for m in CATALOGUE for t in m.tests})
+        passed, summary = run_tests(src, tests, 10 * TIMEOUT)
+        if not passed:
+            print(f"the named tests fail on the unmutated code: {summary}")
+            return 1
+
+        wrong = []
+        for m in CATALOGUE:
+            target = src / "mechwords" / m.file
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+            try:
+                passed, summary = run_tests(src, m.tests, TIMEOUT)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if passed != (m.expect == "equivalent"):
+                wrong.append(m.name)
+            print(f"{'survived' if passed else 'killed':<9} {m.expect:<11} {m.name:<33} {summary}")
+
+    if wrong:
+        print(f"outcome differs from the catalogue: {', '.join(wrong)}")
+        return 1
+    print(f"{len(CATALOGUE)} mutants, every outcome as catalogued")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
