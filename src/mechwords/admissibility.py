@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .words import (
-    A, _as_bits, _check_quota, _check_slope, _check_window, _check_word, _window_weights)
+    A, _as_bits, _check_quota, _check_slope, _check_window, _window_weights, parse_word)
 
 # digits of the packed excess word as the 0/1 bytes _mechanical_excess returns
 _EXCESS = bytes.maketrans(b"01", b"\x00\x01")
@@ -55,7 +55,7 @@ def window_weight_profile(word: str, s: int) -> list[int]:
     The word is checked once (letters, then non-empty), then s against 1..n;
     one running sum around the circle (the `words` window kernel), linear in n.
     """
-    _check_word(word)
+    parse_word(word)
     _check_window("s", s, len(word))
     return _window_weights(word, s)
 
@@ -134,9 +134,11 @@ def is_admissible(word: str, s: int, t: int) -> bool:
 
     The lightest window, a violating one when False, is the minimum of
     window_weight_profile(word, s), first start on ties, as `check` reports it.
+    Word and s are checked by the profile, then t, as `check` does.
     """
+    profile = window_weight_profile(word, s)
     _check_quota(t)
-    return min(window_weight_profile(word, s)) >= t
+    return min(profile) >= t
 
 
 def criterion(query: AdmissibilityQuery) -> bool:
@@ -146,6 +148,6 @@ def criterion(query: AdmissibilityQuery) -> bool:
 
 def discrepancy(word: str, m: int) -> int:
     """Max over length-m windows of |#A - #B| (coloring A -> +1, B -> -1)."""
-    _check_word(word)
+    parse_word(word)
     _check_window("m", m, len(word))
     return max(abs(2 * w - m) for w in _window_weights(word, m))

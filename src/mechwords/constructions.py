@@ -8,12 +8,19 @@ quotient. Rotation utilities make "same necklace" checkable.
 
 from typing import Sequence
 
-from .words import A, B, _check_slope, _check_word, _euclid, _smith_ladder
+from .words import A, B, _check_slope, _euclid, _smith_ladder, parse_word
 
 PLUS = "+"
 MINUS = "-"
-# a fresh minus right after each plus, and the old minuses promote to pluses
-_PROMOTE = str.maketrans({PLUS: PLUS + MINUS, MINUS: PLUS})
+
+
+def _substitute(quotients: Sequence[int], plus: str, minus: str) -> str:
+    # the one construction kernel: for each quotient q, outermost first, the
+    # images of plus and minus go through + -> +-^q, - -> +-^(q-1), one
+    # repetition and two concatenations each; returns the image of minus
+    for q in quotients:
+        plus, minus = plus + minus * q, plus + minus * (q - 1)
+    return minus
 
 
 def euclid_trace(n: int, k: int) -> tuple[list[int], list[int]]:
@@ -27,44 +34,36 @@ def euclid_trace(n: int, k: int) -> tuple[list[int], list[int]]:
 
 
 def symbol_stages(n: int, k: int) -> list[str]:
-    """Intermediate +/- sequences behind arrange(n, k); empty when k divides n."""
-    quotients, remainders = euclid_trace(n, k)
-    if len(quotients) == 1:
-        return []
-    seq = (PLUS + MINUS * (quotients[-1] - 1)) * remainders[-2]
-    stages = [seq]
-    for q in reversed(quotients[1:-1]):
-        seq = seq.translate(_PROMOTE)
-        stages.append(seq)
-        # pad the gap after every plus with q-1 minuses
-        seq = seq.translate({ord(PLUS): PLUS + MINUS * (q - 1)})
-        stages.append(seq)
-    return stages
+    """Intermediate +/- sequences behind arrange(n, k); empty when k divides n.
+
+    For j from the last quotient down to 1: the promotion + -> +-, - -> + of
+    the previous level (the substitution for quotient 1), then the level, the
+    substitution for quotients[j:]; each on +/-, repeated gcd(n, k) times.
+    The first level, the seed, is listed without its promotion.
+    """
+    _check_slope(n, k)
+    quotients, _, g = _euclid(n, k)
+    stages = [_substitute(qs, PLUS, MINUS) * g
+              for j in range(len(quotients) - 1, 0, -1)
+              for qs in ([1, *quotients[j + 1:]], quotients[j:])]
+    return stages[1:]
 
 
 def arrange(n: int, k: int) -> str:
     """Spread k letters A over a circle of n spots with the gaps as even as possible.
 
-    When k divides n the result is k blocks "A" + "B"*(n//k - 1). Otherwise a
-    +/- sequence is grown from the tail of the Euclidean ladder: seed gcd(n, k)
-    pluses, each followed by q-1 minuses for the last quotient q; then for
-    each quotient q from the next-to-last back to the second, append a minus
-    after each plus, promote the previous minuses to pluses, and pad the gap
-    after every plus with q-1 minuses (see symbol_stages). That ends with k
-    symbols, n mod k of them pluses. Each plus then reads as "AB", each minus
-    as "A", and every letter A picks up q-1 trailing letters B for the first
-    quotient q, filling all n spots with weight exactly k. Each step is a
-    substitution on +/-, so the word is built from the images of + and -
-    under them.
+    When k divides n the result is k blocks "A" + "B"*(n//k - 1). In general
+    the Euclidean quotients of (n, k), outermost first, compose the
+    substitutions + -> +-^q, - -> +-^(q-1); the word is the image of one minus
+    under them, read through + -> A, - -> B, repeated gcd(n, k) times. The
+    same kernel builds the last level of symbol_stages, the image for every
+    quotient but the first: each of its pluses reads as "AB", each minus as
+    "A", and every letter A picks up q-1 trailing letters B for the first
+    quotient q, filling all n spots with weight exactly k.
     """
     _check_slope(n, k)
     quotients, _, g = _euclid(n, k)
-    # letter map + -> AB^q, - -> AB^(q-1) for the first quotient, then each
-    # later one composes + -> +-^q, - -> +-^(q-1); the last - is the seed block
-    plus, minus = A, B
-    for q in quotients:
-        plus, minus = plus + minus * q, plus + minus * (q - 1)
-    return minus * g
+    return _substitute(quotients, A, B) * g
 
 
 def smith_quotients(n: int, k: int) -> list[int]:
@@ -101,7 +100,7 @@ def canonical_rotation(word: str) -> tuple[str, int]:
     length on which their rotations agree. A mismatch rules out the loser's
     whole agreeing run, so i + j grows by at least k + 1: the scan is linear.
     """
-    _check_word(word)
+    parse_word(word)
     n = len(word)
     doubled = word + word
     i, j, k = 0, 1, 0
@@ -120,7 +119,7 @@ def canonical_rotation(word: str) -> tuple[str, int]:
 
 def rotation_equivalent(w1: str, w2: str) -> bool:
     """True when the two words are rotations of one another."""
-    _check_word(w1)
-    _check_word(w2)
+    parse_word(w1)
+    parse_word(w2)
     # same length and same canonical rotation <=> w2 occurs in w1 doubled
     return len(w1) == len(w2) and w2 in w1 + w1

@@ -38,17 +38,14 @@ def _check_quota(t: int) -> None:
         raise ValueError("t must be non-negative")
 
 
-def _check_word(word: str) -> None:
-    if not parse_word(word):
-        raise ValueError("word must be non-empty")
-
-
 def parse_word(text: str) -> str:
-    """Validate a word over {A, B}; every other character is rejected."""
+    """Validate a non-empty word over {A, B}: letters first, then emptiness."""
     bad = set(text.translate(_FOREIGN))
     if bad:
         raise ValueError(
             f"invalid letter(s) {sorted(bad)}: words use only 'A' and 'B'")
+    if not text:
+        raise ValueError("word must be non-empty")
     return text
 
 
@@ -138,7 +135,7 @@ def check_balance(period: str, m: int) -> BalanceCheck:
     and its weight are reported. Here m is a factor length of the infinite
     periodic word, not a window of the n-spot circle, so any m >= 1 is taken.
     """
-    _check_word(period)
+    parse_word(period)
     if m < 1:
         raise ValueError("factor length must be positive")
     n, k = len(period), period.count(A)

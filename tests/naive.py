@@ -109,13 +109,12 @@ def stages_reference(n, k):
     return stages
 
 
-def arrange_reference(n, k):
-    """arrange(n, k) read off the last stage of stages_reference.
+def arrange_reference(n, k, stages):
+    """arrange(n, k) read off the last of its stages, stages_reference(n, k).
 
     + reads "AB", - reads "A", and each A gains n//k - 1 letters B (n//k is
     the first quotient). When k divides n the result is k blocks A B^(n/k-1).
     """
-    stages = stages_reference(n, k)
     if not stages:
         return ("A" + "B" * (n // k - 1)) * k
     word = "".join("AB" if c == "+" else "A" for c in stages[-1])

@@ -10,7 +10,8 @@ import re
 from math import gcd
 
 import naive
-from mechwords import AdmissibilityQuery, admissibility, canonical_rotation, cli, oracle, words
+from mechwords import (
+    AdmissibilityQuery, admissibility, canonical_rotation, cli, constructions, oracle, words)
 from mechwords.cli import main
 
 
@@ -150,7 +151,8 @@ def test_generate_canonical_and_bits(capsys):
 def test_bits_rendering_does_not_revalidate_words(capsys, monkeypatch):
     # check validates its word in one parse_word pass, inside
     # window_weight_profile; --alphabet 01 renders words the command has
-    # checked or built, so it adds no pass to check and none at all to generate
+    # checked or built, so it adds no pass to check and none at all to generate.
+    # parse_word is counted in every module that binds it
     calls = []
     parse_word = words.parse_word
 
@@ -160,7 +162,8 @@ def test_bits_rendering_does_not_revalidate_words(capsys, monkeypatch):
 
     word = words.mechanical_word(30, 11)
     bits = words.to_bits(word)
-    monkeypatch.setattr(words, "parse_word", counting)
+    for module in (words, admissibility, constructions):
+        monkeypatch.setattr(module, "parse_word", counting)
     passes = []
     for alphabet in ("AB", "01"):
         code, out, _ = run(capsys, "check", word, "7", "2", "--alphabet", alphabet)

@@ -86,10 +86,13 @@ def test_arrange_length_and_weight():
 
 
 def test_arrange_matches_stage_pipeline():
-    # byte for byte against the symbol-by-symbol oracle, coprime or not
+    # both outputs of the one substitution kernel, byte for byte against the
+    # symbol-by-symbol oracle, coprime or not
     for n in range(2, 400):
         for k in range(1, n):
-            assert arrange(n, k) == naive.arrange_reference(n, k), (n, k)
+            stages = naive.stages_reference(n, k)
+            assert symbol_stages(n, k) == stages, (n, k)
+            assert arrange(n, k) == naive.arrange_reference(n, k, stages), (n, k)
 
 
 @pytest.mark.parametrize("n, k", [(5, 0), (4, 6)])
@@ -130,10 +133,16 @@ def test_symbol_stages_obey_ladder_identities():
 
 
 def test_symbol_stages_match_reference():
-    # byte for byte against the symbol-by-symbol joins, coprime or not
-    for n in range(2, 300):
-        for k in range(1, n):
-            assert symbol_stages(n, k) == naive.stages_reference(n, k), (n, k)
+    # deep quotient lists at n up to 10^5, beyond the exhaustive range above:
+    # Fibonacci neighbours (every quotient 1, the deepest ladders) alone and
+    # doubled, huge quotients, then six pairs of mixed depth, two with gcd > 1
+    pairs = [(75025, 46368), (2 * 46368, 2 * 28657), (99991, 2), (99999, 99998),
+             (100000, 38200), (77777, 30011), (65536, 40503), (99000, 61182),
+             (87381, 33377), (54321, 12345)]
+    for n, k in pairs:
+        stages = naive.stages_reference(n, k)
+        assert symbol_stages(n, k) == stages, (n, k)
+        assert arrange(n, k) == naive.arrange_reference(n, k, stages), (n, k)
 
 
 def test_symbol_stages_divisible_case_is_empty():

@@ -17,6 +17,7 @@ from mechwords import (
     brute_force_exists,
     criterion,
     euclid_trace,
+    is_admissible,
     mechanical_window,
     mechanical_word,
     smith_quotients,
@@ -49,6 +50,22 @@ def test_bad_pair_refused_alike_everywhere(capsys, n, k):
         assert str(excinfo.value) == message
     for argv in (["generate", n, k], ["plan", n, k, 1, 0], ["discrepancy", n, k, 1]):
         assert run(capsys, *map(str, argv)) == (1, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("word, s, t, message", [
+    ("", 1, -1, "word must be non-empty"),
+    ("", 0, 0, "word must be non-empty"),
+    ("AXB", 9, -1, "invalid letter(s) ['X']: words use only 'A' and 'B'"),
+    ("AB", 3, -1, "s must be in 1..2, got 3"),
+    ("AB", 0, 0, "s must be in 1..2, got 0"),
+    ("AB", 1, -1, "t must be non-negative"),
+])
+def test_bad_check_refused_alike_in_library_and_cli(capsys, word, s, t, message):
+    # arguments are checked in the order given, so both report the first error
+    with pytest.raises(ValueError) as excinfo:
+        is_admissible(word, s, t)
+    assert str(excinfo.value) == message
+    assert run(capsys, "check", word, str(s), str(t)) == (1, "", f"error: {message}\n")
 
 
 def test_full_pair_constructions_answer():

@@ -24,7 +24,8 @@ MECHANICAL_GOLDEN = {
 
 def test_parse_word():
     assert parse_word("ABBA") == "ABBA"
-    assert parse_word("") == ""
+    with pytest.raises(ValueError, match="^word must be non-empty$"):
+        parse_word("")
     for bad in ("ab", "A B", "01", "AXB"):
         with pytest.raises(ValueError):
             parse_word(bad)
@@ -39,7 +40,8 @@ def test_parse_word():
 
 def test_to_bits():
     assert to_bits("ABBAB") == "10010"
-    assert to_bits("") == ""
+    with pytest.raises(ValueError, match="^word must be non-empty$"):
+        to_bits("")
 
 
 def test_mechanical_word_golden():

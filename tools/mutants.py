@@ -69,6 +69,30 @@ CATALOGUE = [
            "plus, minus = plus + minus * q, plus + minus * (q - 1)",
            "plus, minus = minus * q + plus, minus * (q - 1) + plus",
            ("tests/test_constructions.py::test_arrange_golden",)),
+    Mutant("substitute-minus-takes-q", "constructions.py",
+           "plus + minus * (q - 1)", "plus + minus * q",
+           ("tests/test_constructions.py::test_arrange_golden",
+            "tests/test_constructions.py::test_symbol_stages_23_10")),
+    Mutant("stages-promotion-by-quotient-2", "constructions.py",
+           "[1, *quotients[j + 1:]]", "[2, *quotients[j + 1:]]",
+           ("tests/test_constructions.py::test_symbol_stages_23_10",
+            "tests/test_constructions.py::test_symbol_stages_87_36")),
+    Mutant("parse-word-takes-empty", "words.py",
+           '    if not text:\n        raise ValueError("word must be non-empty")\n', "",
+           ("tests/test_words.py::test_parse_word",)),
+    Mutant("admissible-quota-before-profile", "admissibility.py",
+           "    profile = window_weight_profile(word, s)\n    _check_quota(t)\n"
+           "    return min(profile) >= t\n",
+           "    _check_quota(t)\n    return min(window_weight_profile(word, s)) >= t\n",
+           ("tests/test_domain.py::test_bad_check_refused_alike_in_library_and_cli",)),
+    Mutant("plan-weights-keep-trailing-space", "cli.py",
+           ")[:-1].decode()", ").decode()",
+           ("tests/test_cli.py::test_plan_rejects_bad_bounds",)),
+    Mutant("generate-canonical-condition-and", "cli.py",
+           'if args.method == "mechanical" or args.canonical:',
+           'if args.method == "mechanical" and args.canonical:',
+           ("tests/test_cli.py::test_generate_canonical_and_bits",
+            "tests/test_cli.py::test_generate_canonical_matches_brute_force")),
     Mutant("window-first-weight-off-by-one", "words.py",
            "word.count(A, 0, r)", "word.count(A, 0, r + 1)",
            ("tests/test_words.py::test_check_balance_agrees_with_enumeration",
