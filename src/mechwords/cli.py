@@ -66,6 +66,13 @@ def _checked(fn, *args):
         raise InputError(str(exc)) from exc
 
 
+def _weights(low: int, excess: bytes, sep: str) -> str:
+    # window i weighs low + excess[i]; each weight is followed by sep, which
+    # the slice drops after the last one (the first replacement writes no 0 byte)
+    return excess.replace(b"\x01", f"{low + 1}{sep}".encode()).replace(
+        b"\x00", f"{low}{sep}".encode())[:-len(sep)].decode()
+
+
 def _check_word_cap(n: int) -> None:
     if n > WORD_CAP:
         raise InputError(f"n = {n} is above the word cap {WORD_CAP}")
@@ -89,17 +96,15 @@ def cmd_plan(args) -> int:
     shown = _rendered(word, args)
     record.update(verdict="admissible", word=shown)
     if args.format == "machine":
-        record.update(profile=list(map((low, low + 1).__getitem__, excess)),
-                      witness_start=witness.start, witness_weight=witness.weight)
-        _emit(args, record, [])
+        # json.dumps of the whole record, with the profile array spliced in as text
+        head = json.dumps(record)[:-1]
+        tail = json.dumps({"witness_start": witness.start, "witness_weight": witness.weight})[1:]
+        print(f'{head}, "profile": [{_weights(low, excess, ", ")}], {tail}')
         return EXIT_OK
-    # the first replacement writes no 0 byte; [:-1] drops the trailing space
-    weights = excess.replace(b"\x01", f"{low + 1} ".encode()).replace(
-        b"\x00", f"{low} ".encode())[:-1].decode()
     _emit(args, record, [
         f"ADMISSIBLE: nt = {nt} <= ks = {ks}",
         f"arrangement: {shown}",
-        f"window weights (s={query.s}): {weights}",
+        f"window weights (s={query.s}): {_weights(low, excess, ' ')}",
         f"min window: start {witness.start}, weight {witness.weight}",
     ])
     return EXIT_OK
@@ -167,7 +172,9 @@ def cmd_check(args) -> int:
     lines.append(f"min window: start {start}, weight {weight}")
     if args.verbose:
         record.update(profile=profile)
-        lines.append(f"window weights (s={s}): {' '.join(map(str, profile))}")
+        # each of the at most s + 1 distinct weights is rendered once, then looked up
+        table = [str(v) for v in range(max(profile) + 1)]
+        lines.append(f"window weights (s={s}): {' '.join(map(table.__getitem__, profile))}")
     _emit(args, record, lines)
     return EXIT_OK if admissible else EXIT_NEGATIVE
 

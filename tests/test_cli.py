@@ -335,6 +335,23 @@ def test_check_verbose_profile_matches_machine(capsys):
     assert profile == record["profile"]
 
 
+def test_check_verbose_profile_spans_zero_to_s(capsys):
+    # a run of s letters B and a run of s letters A: the weights reach both
+    # ends of 0..s, the first and the last value the line renders
+    for n in range(2, 11):
+        for s in range(1, n // 2 + 1):
+            for rest in naive.all_words(n - 2 * s):
+                base = "A" * s + "B" * s + rest
+                for word in (base, base[1:] + base[0], base[-1] + base[:-1]):
+                    weights = naive.windows(word, s)
+                    assert min(weights) == 0 and max(weights) == s
+                    code, out, _ = run(capsys, "check", word, str(s), "1", "--verbose")
+                    assert code == 2 and out.splitlines()[-1] == (
+                        f"window weights (s={s}): {' '.join(map(str, weights))}"), (word, s)
+                    code, record, _ = machine(capsys, "check", word, str(s), "1", "--verbose")
+                    assert code == 2 and record["profile"] == weights, (word, s)
+
+
 def test_verify_small(capsys):
     code, record, _ = machine(capsys, "verify", "8")
     assert code == 0
@@ -478,6 +495,28 @@ def test_plan_profile_matches_enumeration(capsys):
                         f"window weights (s={s}): {' '.join(map(str, weights))}"), argv
                     code, record, _ = machine(capsys, *argv, *flags)
                     assert code == 0 and record["profile"] == weights, argv
+
+
+def test_plan_machine_record_is_json_dumps_of_its_fields(capsys):
+    # the raw line, not its json.loads: key order, separators, both brackets
+    # and the newline; k = n gives every window s letters A, k * s < n gives 0
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            word = words.mechanical_word(n, k)
+            for s in sorted({1, n // 2 or 1, n}):
+                t = k * s // n
+                weights = naive.windows(word, s)
+                start, weight = naive.lightest_window(word, s)
+                bits = word.replace("A", "1").replace("B", "0")
+                for flags, shown in ((["--alphabet", "01"], bits), (["--canonical"], word)):
+                    argv = ["plan", str(n), str(k), str(s), str(t), *flags]
+                    code, out, _ = run(capsys, *argv, "--format", "machine")
+                    assert code == 0
+                    assert out == json.dumps({
+                        "command": "plan", "n": n, "k": k, "s": s, "t": t,
+                        "nt": n * t, "ks": k * s, "verdict": "admissible", "word": shown,
+                        "profile": weights, "witness_start": start,
+                        "witness_weight": weight}) + "\n", argv
 
 
 def test_verify_smallest_range(capsys):

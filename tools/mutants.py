@@ -46,6 +46,8 @@ ROTATION_TESTS = (
     "tests/test_constructions.py::test_canonical_rotation_of_rotated_mechanical_words",
 )
 LANE_TESTS = ("tests/test_oracle.py::test_unbalanced_lengths_match_naive_balance",)
+PLAN_RECORD_TESTS = (
+    "tests/test_cli.py::test_plan_machine_record_is_json_dumps_of_its_fields",)
 EXCESS_TESTS = ("tests/test_admissibility.py::test_mechanical_excess_matches_enumeration",)
 
 CATALOGUE = [
@@ -86,8 +88,24 @@ CATALOGUE = [
            "    _check_quota(t)\n    return min(window_weight_profile(word, s)) >= t\n",
            ("tests/test_domain.py::test_bad_check_refused_alike_in_library_and_cli",)),
     Mutant("plan-weights-keep-trailing-space", "cli.py",
-           ")[:-1].decode()", ").decode()",
+           "[:-len(sep)].decode()", ".decode()",
            ("tests/test_cli.py::test_plan_rejects_bad_bounds",)),
+    Mutant("plan-machine-separator-without-space", "cli.py",
+           '_weights(low, excess, ", ")', '_weights(low, excess, ",")', PLAN_RECORD_TESTS),
+    Mutant("plan-machine-closing-bracket-dropped", "cli.py",
+           '", ")}], {tail}', '", ")}, {tail}', PLAN_RECORD_TESTS),
+    Mutant("weights-low-and-high-swapped", "cli.py",
+           'f"{low + 1}{sep}".encode()).replace(\n        b"\\x00", f"{low}{sep}"',
+           'f"{low}{sep}".encode()).replace(\n        b"\\x00", f"{low + 1}{sep}"',
+           ("tests/test_cli.py::test_plan_profile_matches_enumeration",
+            *PLAN_RECORD_TESTS)),
+    # the text line's separator is one character, so only the machine
+    # record keeps a trailing comma
+    Mutant("weights-slice-one-character", "cli.py",
+           "[:-len(sep)]", "[:-1]", PLAN_RECORD_TESTS),
+    Mutant("check-table-one-short", "cli.py",
+           "range(max(profile) + 1)", "range(max(profile))",
+           ("tests/test_cli.py::test_check_verbose_profile_spans_zero_to_s",)),
     Mutant("generate-canonical-condition-and", "cli.py",
            'if args.method == "mechanical" or args.canonical:',
            'if args.method == "mechanical" and args.canonical:',
@@ -171,7 +189,7 @@ def main() -> int:
                 target.write_text(original, encoding="utf-8")
             if passed != (m.expect == "equivalent"):
                 wrong.append(m.name)
-            print(f"{'survived' if passed else 'killed':<9} {m.expect:<11} {m.name:<33} {summary}")
+            print(f"{'survived' if passed else 'killed':<9} {m.expect:<11} {m.name:<36} {summary}")
 
     if wrong:
         print(f"outcome differs from the catalogue: {', '.join(wrong)}")
