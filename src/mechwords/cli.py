@@ -3,7 +3,9 @@
 Exit status contract: 0 = affirmative/pass, 2 = well-formed query with a
 negative verdict (impossible / not admissible / sweep found a counterexample),
 1 = input error. With --format machine each invocation prints one JSON record
-with stable field names.
+with stable field names. Every input error is a ValueError, whether the
+parser, the library's domain checks or the CLI's own caps raise it; main alone
+catches it and prints one "error:" line on stderr.
 """
 
 import argparse
@@ -27,22 +29,18 @@ EXIT_NEGATIVE = 2
 # 100; Python 3.11, shared 2-core host), far below oracle.LANE_N_MAX
 VERIFY_CAP = 200
 # largest n that generate and an admissible plan build a word for: plan peaks
-# at about 24 bytes per letter above the interpreter's 15 MB in text and 29 in
-# machine format (the word, its packed profile and the rendered output; 39 and
-# 44 MB at n = 1e6, 61 and 73 MB at 2e6, fresh processes, Python 3.11), so one
-# request stays near 0.3 GB at the cap
+# at about 23 bytes per letter above the interpreter's 15 MB in text and 28 in
+# machine format (the word, its packed profile and the rendered output; 37 and
+# 43 MB at n = 1e6, 61 and 71 MB at 2e6, fresh processes with stdout on a
+# pipe, Python 3.11), so one request stays near 0.3 GB at the cap
 WORD_CAP = 10**7
-
-
-class InputError(Exception):
-    """Bad command-line input; maps to exit status 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad input, which collides with the
-    # "negative verdict" status; route everything through InputError instead
+    # "negative verdict" status; raise the library's input-error type instead
     def error(self, message):
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def _emit(args, record: dict, lines: list[str]) -> None:
@@ -58,14 +56,6 @@ def _rendered(word: str, args) -> str:
     return _as_bits(word) if args.alphabet == "01" else word
 
 
-def _checked(fn, *args):
-    # the library validates its own domain; its ValueError is an input error
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _weights(low: int, excess: bytes, sep: str) -> str:
     # window i weighs low + excess[i]; each weight is followed by sep, which
     # the slice drops after the last one (the first replacement writes no 0 byte)
@@ -75,11 +65,11 @@ def _weights(low: int, excess: bytes, sep: str) -> str:
 
 def _check_word_cap(n: int) -> None:
     if n > WORD_CAP:
-        raise InputError(f"n = {n} is above the word cap {WORD_CAP}")
+        raise ValueError(f"n = {n} is above the word cap {WORD_CAP}")
 
 
 def cmd_plan(args) -> int:
-    query = _checked(AdmissibilityQuery, args.n, args.k, args.s, args.t)
+    query = AdmissibilityQuery(args.n, args.k, args.s, args.t)
     nt, ks = query.n * query.t, query.k * query.s
     record = {"command": "plan", "n": query.n, "k": query.k, "s": query.s,
               "t": query.t, "nt": nt, "ks": ks}
@@ -112,7 +102,7 @@ def cmd_plan(args) -> int:
 
 def cmd_generate(args) -> int:
     n, k = args.n, args.k
-    _checked(_check_slope, n, k)
+    _check_slope(n, k)
     _check_word_cap(n)
     record = {"command": "generate", "n": n, "k": k, "method": args.method}
     lines = []
@@ -134,7 +124,7 @@ def cmd_generate(args) -> int:
             else:
                 lines.append("no symbol stages (k divides n)")
     elif args.method == "smith":
-        quotients = _checked(smith_quotients, n, k)
+        quotients = smith_quotients(n, k)
         if args.verbose or not args.canonical:
             ladder = smith_ladder(quotients)
             word = ladder[-1]
@@ -155,8 +145,8 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     word, s, t = args.word, args.s, args.t
     # the profile is the one validation pass: letters, empty word, then s
-    profile = _checked(window_weight_profile, word, s)
-    _checked(_check_quota, t)
+    profile = window_weight_profile(word, s)
+    _check_quota(t)
     weight = min(profile)
     start = profile.index(weight)
     admissible = weight >= t
@@ -170,8 +160,9 @@ def cmd_check(args) -> int:
     else:
         lines = [f"NOT ADMISSIBLE: window at start {start} holds {weight} < {t} letters A"]
     lines.append(f"min window: start {start}, weight {weight}")
-    if args.verbose:
+    if args.verbose and args.format == "machine":
         record.update(profile=profile)
+    elif args.verbose:
         # each of the at most s + 1 distinct weights is rendered once, then looked up
         table = [str(v) for v in range(max(profile) + 1)]
         lines.append(f"window weights (s={s}): {' '.join(map(table.__getitem__, profile))}")
@@ -181,13 +172,13 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.n_max is not None and args.n_max_flag is not None:
-        raise InputError("give n_max either positionally or via --n-max, not both")
+        raise ValueError("give n_max either positionally or via --n-max, not both")
     n_max = args.n_max_flag if args.n_max is None else args.n_max
     if n_max is None:
-        raise InputError("n_max is required")
+        raise ValueError("n_max is required")
     if n_max > VERIFY_CAP:
-        raise InputError(f"n_max above the verification cap {VERIFY_CAP}")
-    counts, failures = _checked(verify_sweeps, n_max)
+        raise ValueError(f"n_max above the verification cap {VERIFY_CAP}")
+    counts, failures = verify_sweeps(n_max)
     record = {"command": "verify", "n_max": n_max, **counts,
               "verdict": "pass" if not failures else "fail",
               "failures": failures}
@@ -202,8 +193,8 @@ def cmd_verify(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     n, k, m = args.n, args.k, args.m
-    _checked(_check_slope, n, k)
-    _checked(_check_window, "m", m, n)
+    _check_slope(n, k)
+    _check_window("m", m, n)
     # the mechanical word's windows weigh floor(m*k/n) or ceil(m*k/n), both
     # attained, so no word is built
     floor_term = m * k // n
@@ -297,7 +288,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except InputError as exc:
+    # the one input-error path; it also takes a number too long to print
+    # (Python's int-to-str digit limit), raised before any output
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

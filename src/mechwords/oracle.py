@@ -107,14 +107,15 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     """Run verify's three sweeps up to n_max; return their counts and failures.
 
     Equivalence, coprime k < n: arrange, Smith's recursion and the mechanical
-    word are rotations of one word, the recursion's word closed up as A...B is
-    the mechanical word, and its prefix of length i holds ceil(k*i/n) letters
-    A. Oracle grid, n <= 12: brute_force_exists agrees with criterion. Balance:
-    each window of length m <= 2n of every mechanical word weighs floor(m*k/n)
-    or ceil(m*k/n). Failures come equivalence first, then grid, then balance.
-    n_max must lie in 1..LANE_N_MAX: a smaller one would pass vacuously, and
-    a larger one's windows overflow the balance sweep's 16-bit lanes. Either
-    raises ValueError before any sweep runs.
+    word are rotations of one word, and both the mechanical word and the
+    recursion's word closed up as A...B hold ceil(k*i/n) letters A in their
+    prefix of length i, computed in integers. Oracle grid, n <= 12:
+    brute_force_exists agrees with criterion. Balance: each window of length
+    m <= 2n of every mechanical word weighs floor(m*k/n) or ceil(m*k/n).
+    Failures come equivalence first, then grid, then balance. n_max must lie
+    in 1..LANE_N_MAX: a smaller one would pass vacuously, and a larger one's
+    windows overflow the balance sweep's 16-bit lanes. Either raises
+    ValueError before any sweep runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
@@ -145,10 +146,12 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
                 counts["equivalence_pairs"] += 1
                 built = arrange(n, k)
                 from_recursion = smith_ladder(smith_quotients(n, k))[-1]
-                if not (prefix[:n + 1] == [-(-k * i // n) for i in range(n + 1)]
+                closed = (A + from_recursion[:-2] + B).encode().translate(_BYTES)
+                ceilings = [-(-k * i // n) for i in range(n + 1)]
+                if not (prefix[:n + 1] == ceilings
                         and rotation_equivalent(built, from_recursion)
                         and rotation_equivalent(built, word)
-                        and "A" + from_recursion[:-2] + "B" == word):
+                        and list(accumulate(closed, initial=0)) == ceilings):
                     equivalence.append(
                         f"equivalence n={n} k={k}: arrange={built} "
                         f"recursion={from_recursion} mechanical={word}")

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import re
+import sys
 from math import gcd
 
 import naive
@@ -243,7 +244,7 @@ def test_generate_output_is_pinned():
                         alphabet=alphabet, format=fmt)
                     try:
                         code = cli.cmd_generate(args)
-                    except cli.InputError as exc:
+                    except ValueError as exc:
                         code = f"error: {exc}"
                     digest.update(repr((vars(args), code, out.getvalue())).encode())
                     out.seek(0)
@@ -362,8 +363,8 @@ def test_verify_small(capsys):
 
 def test_verify_checks_mechanical_word_against_ceiling_formula(capsys, monkeypatch):
     # a mechanical word rotated to another A...B rotation, with the recursion's
-    # word rotated to close up to it, passes every rotation, balance and
-    # closing-up check; only the ceiling formula catches it
+    # word rotated to close up to it, passes every rotation and balance check;
+    # only the ceiling formula catches it
     mechanical_word, smith_ladder = oracle.mechanical_word, oracle.smith_ladder
 
     def rotated(word):
@@ -383,6 +384,31 @@ def test_verify_checks_mechanical_word_against_ceiling_formula(capsys, monkeypat
     assert record["verdict"] == "fail"
     assert record["failures"]
     assert all(f.startswith("equivalence") for f in record["failures"])
+
+
+def test_verify_checks_closed_recursion_word_against_ceiling_formula(capsys, monkeypatch):
+    # the recursion's word rotated by one letter is still a rotation of the
+    # other two words, and the mechanical word is untouched, so only the
+    # closing clause can catch it: wherever the rotated word closes up to
+    # other prefix counts than ceil(k*i/n), and nowhere else
+    smith_ladder = oracle.smith_ladder
+
+    def rotated_ladder(quotients):
+        ladder = smith_ladder(quotients)
+        return ladder[:-1] + [ladder[-1][1:] + ladder[-1][:1]]
+
+    monkeypatch.setattr(oracle, "smith_ladder", rotated_ladder)
+    code, record, _ = machine(capsys, "verify", "8")
+    expected = []
+    for n in range(2, 9):
+        for k in range(1, n):
+            if gcd(n, k) == 1:
+                closed = "A" + rotated_ladder(constructions.smith_quotients(n, k))[-1][:-2] + "B"
+                if [closed[:i].count("A") for i in range(n + 1)] != [
+                        -(-k * i // n) for i in range(n + 1)]:
+                    expected.append(f"equivalence n={n} k={k}")
+    assert expected and code == 2 and record["verdict"] == "fail"
+    assert [f.split(":")[0] for f in record["failures"]] == expected
 
 
 def test_verify_reports_unbalanced_word_through_check_balance(capsys, monkeypatch):
@@ -668,6 +694,19 @@ def test_word_building_commands_stop_at_the_cap(capsys, monkeypatch):
 def test_discrepancy_rejects_bad_window(capsys):
     code, _, err = run(capsys, "discrepancy", "4", "2", "5")
     assert code == 1 and "m must be in 1..4" in err
+
+
+def test_number_too_long_to_print_is_input_error(capsys):
+    # nt has 6,000 digits, above Python's int-to-str limit; the verdict is
+    # never printed, and main reports the limit as one error line
+    nines = "9" * 3000
+    limit = sys.get_int_max_str_digits()
+    for flags in ([], ["--format", "machine"]):
+        code, out, err = run(capsys, "plan", nines, "1", "1", nines, *flags)
+        assert (code, out) == (1, ""), flags
+        assert err.startswith("error: ") and f"({limit} digits)" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_unknown_command_is_input_error(capsys):

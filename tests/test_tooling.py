@@ -119,3 +119,13 @@ def test_private_names_are_used_in_src():
                 used.add(name)
     unused = sorted(set(private) - used)
     assert not unused, f"private names nothing in src/ uses: {unused}"
+
+
+def test_cli_has_one_input_error_path():
+    # every input error is a ValueError, and main's one handler is the only
+    # place that turns it into exit status 1
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    handlers = [(function.name, ast.unparse(node.type))
+                for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function) if isinstance(node, ast.ExceptHandler)]
+    assert handlers == [("main", "ValueError")]

@@ -141,6 +141,17 @@ CATALOGUE = [
     Mutant("criterion-strict", "admissibility.py",
            "query.n * query.t <= query.k * query.s", "query.n * query.t < query.k * query.s",
            ("tests/test_admissibility.py::test_criterion_examples",)),
+    Mutant("main-catches-type-error", "cli.py",
+           "    except ValueError as exc:\n", "    except TypeError as exc:\n",
+           ("tests/test_domain.py::test_bad_pair_refused_alike_everywhere",
+            "tests/test_cli.py::test_number_too_long_to_print_is_input_error")),
+    Mutant("parser-error-raises-runtime-error", "cli.py",
+           "        raise ValueError(message)\n", "        raise RuntimeError(message)\n",
+           ("tests/test_cli.py::test_unknown_command_is_input_error",)),
+    Mutant("closing-clause-ceilings-off-by-one", "oracle.py",
+           "list(accumulate(closed, initial=0)) == ceilings",
+           "list(accumulate(closed, initial=0)) == [c + 1 for c in ceilings]",
+           ("tests/test_cli.py::test_verify_small",)),
     Mutant("check-witness-last-minimum", "cli.py",
            "start = profile.index(weight)",
            "start = len(profile) - 1 - profile[::-1].index(weight)",
