@@ -110,15 +110,17 @@ def _mechanical_excess(word: str, s: int) -> tuple[int, bytes]:
     excess[i+1] = excess[i] ^ x[i] ^ x[i+s]. The excesses are therefore the
     exclusive prefix XOR of y = x ^ (x rotated left by s), seeded with
     excess[0] = word.count(A, 0, s) - low. Packed as one int, spot 0 is the
-    top bit: p ^= p >> shift with shift doubling folds every higher bit into
-    each lower one (the inclusive prefix) in about log2(n) big-int steps, one
-    more >> 1 makes it exclusive, and flipping all n bits applies a seed of 1.
+    top bit, so the word is parsed once and its rotation is two shifts under
+    an n-bit mask; p ^= p >> shift with shift doubling folds every higher bit
+    into each lower one (the inclusive prefix) in about log2(n) big-int steps,
+    one more >> 1 makes it exclusive, and flipping all n bits applies a seed
+    of 1.
     Base-2 int() and format() have no digit limit, so any n is taken.
     """
     n = len(word)
     low = word.count(A) * s // n
-    bits = _as_bits(word)
-    p = int(bits, 2) ^ int(bits[s:] + bits[:s], 2)
+    x = int(_as_bits(word), 2)
+    p = x ^ ((x << s | x >> n - s) & (1 << n) - 1)
     shift = 1
     while shift < n:
         p ^= p >> shift

@@ -29,10 +29,11 @@ EXIT_NEGATIVE = 2
 # 100; Python 3.11, shared 2-core host), far below oracle.LANE_N_MAX
 VERIFY_CAP = 200
 # largest n that generate and an admissible plan build a word for: plan peaks
-# at about 23 bytes per letter above the interpreter's 15 MB in text and 28 in
-# machine format (the word, its packed profile and the rendered output; 37 and
-# 43 MB at n = 1e6, 61 and 71 MB at 2e6, fresh processes with stdout on a
-# pipe, Python 3.11), so one request stays near 0.3 GB at the cap
+# at about 17 bytes per letter above the interpreter's 15 MB in text and 21 in
+# machine format with 6-digit weights (the word, its packed profile and the
+# rendered output; 31.5 and 35.3 MB at n = 1e6, 47.9 and 55.7 MB at 2e6, fresh
+# processes with stdout on a pipe, Python 3.11), so one request stays near
+# 0.25 GB at the cap
 WORD_CAP = 10**7
 
 
@@ -57,10 +58,23 @@ def _rendered(word: str, args) -> str:
 
 
 def _weights(low: int, excess: bytes, sep: str) -> str:
-    # window i weighs low + excess[i]; each weight is followed by sep, which
-    # the slice drops after the last one (the first replacement writes no 0 byte)
-    return excess.replace(b"\x01", f"{low + 1}{sep}".encode()).replace(
-        b"\x00", f"{low}{sep}".encode())[:-len(sep)].decode()
+    # window i weighs low + excess[i], written as a fixed-width token: low
+    # left-padded with NUL to the width of low + 1. The tokens differ only in
+    # the columns a carry touches, and each such column is one strided write
+    # of the excess bytes mapped to the two tokens' digits there. The padding
+    # exists only when low + 1 is a power of ten, and a delete pass costs as
+    # much as all the writes, so only then is it deleted.
+    hi = f"{low + 1}{sep}".encode()
+    lo = f"{low}{sep}".encode().rjust(len(hi), b"\x00")
+    width = len(hi)
+    out = bytearray(lo) * len(excess)
+    for j in range(width):
+        if lo[j] != hi[j]:
+            out[j::width] = excess.translate(bytes.maketrans(b"\x00\x01", bytes((lo[j], hi[j]))))
+    del out[-len(sep):]
+    if not lo[0]:
+        out = out.translate(None, b"\x00")
+    return out.decode()
 
 
 def _check_word_cap(n: int) -> None:

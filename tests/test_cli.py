@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import re
 import sys
 from math import gcd
@@ -521,6 +522,35 @@ def test_plan_profile_matches_enumeration(capsys):
                         f"window weights (s={s}): {' '.join(map(str, weights))}"), argv
                     code, record, _ = machine(capsys, *argv, *flags)
                     assert code == 0 and record["profile"] == weights, argv
+
+
+def test_weights_at_every_carry_shape():
+    # low + 1 gains a digit at 9, 99, 999, 99999; otherwise the carry changes
+    # one column at 0, 8, 10, 100, two at 19, 129 and three at 1099; both
+    # separators, and excess of one byte, all light, all heavy and seeded-random
+    rng = random.Random(26)
+    for low in (0, 8, 9, 10, 19, 99, 100, 129, 999, 1099, 99999):
+        for sep in (" ", ", "):
+            for excess in (b"\x00", b"\x01", bytes(40), b"\x01" * 40,
+                           bytes(rng.getrandbits(1) for _ in range(rng.randint(2, 300)))):
+                assert cli._weights(low, excess, sep) == sep.join(
+                    str(low + e) for e in excess), (low, sep, excess)
+
+
+def test_plan_three_digit_weights_match_enumeration(capsys):
+    # windows weighing 99 or 100 (and 999 or 1000), so the heavy token is a
+    # digit longer than the light one, which the n <= 18 grid never reaches
+    for n, k, s in ((200, 100, 199), (250, 149, 167), (300, 101, 295), (2000, 1000, 1999)):
+        weights = naive.windows(words.mechanical_word(n, k), s)
+        assert {min(weights), max(weights)} in ({99, 100}, {999, 1000}), (n, k, s)
+        argv = ["plan", str(n), str(k), str(s), str(min(weights))]
+        for flags in ([], ["--alphabet", "01"], ["--canonical"]):
+            code, out, _ = run(capsys, *argv, *flags)
+            assert code == 0
+            assert out.splitlines()[2] == (
+                f"window weights (s={s}): {' '.join(map(str, weights))}"), argv
+            code, record, _ = machine(capsys, *argv, *flags)
+            assert code == 0 and record["profile"] == weights, argv
 
 
 def test_plan_machine_record_is_json_dumps_of_its_fields(capsys):

@@ -2,8 +2,11 @@
 
 import ast
 import doctest
-import importlib
+import importlib.util
+import json
+import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -129,3 +132,21 @@ def test_cli_has_one_input_error_path():
                 for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
                 for node in ast.walk(function) if isinstance(node, ast.ExceptHandler)]
     assert handlers == [("main", "ValueError")]
+
+
+def test_kernel_timer_runs_at_tiny_size():
+    # tools/kernels.py, scaled down: one JSON line per table row, in order,
+    # each with ordered quartiles and the interpreter it ran on
+    tool = ROOT / "tools" / "kernels.py"
+    result = subprocess.run([sys.executable, str(tool), "--scale", "0.0001", "--repeats", "3"],
+                            capture_output=True, text=True, check=True, timeout=60)
+    spec = importlib.util.spec_from_file_location("kernels", tool)
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [line["kernel"] for line in lines] == [name for name, _, _ in kernels.TABLE]
+    for line in lines:
+        assert line["n"] >= 2 and line["repeats"] == 3
+        assert 0 <= line["q1_ms"] <= line["median_ms"] <= line["q3_ms"], line
+        assert line["python"] == platform.python_version()
+        assert line["cpu_count"] == os.cpu_count()

@@ -49,6 +49,8 @@ LANE_TESTS = ("tests/test_oracle.py::test_unbalanced_lengths_match_naive_balance
 PLAN_RECORD_TESTS = (
     "tests/test_cli.py::test_plan_machine_record_is_json_dumps_of_its_fields",)
 EXCESS_TESTS = ("tests/test_admissibility.py::test_mechanical_excess_matches_enumeration",)
+WEIGHTS_TESTS = ("tests/test_cli.py::test_weights_at_every_carry_shape",
+                 "tests/test_cli.py::test_plan_three_digit_weights_match_enumeration")
 
 CATALOGUE = [
     Mutant("rotation-comparison-flipped", "constructions.py",
@@ -87,22 +89,23 @@ CATALOGUE = [
            "    return min(profile) >= t\n",
            "    _check_quota(t)\n    return min(window_weight_profile(word, s)) >= t\n",
            ("tests/test_domain.py::test_bad_check_refused_alike_in_library_and_cli",)),
-    Mutant("plan-weights-keep-trailing-space", "cli.py",
-           "[:-len(sep)].decode()", ".decode()",
-           ("tests/test_cli.py::test_plan_rejects_bad_bounds",)),
+    Mutant("weights-trailing-separator-kept", "cli.py",
+           "    del out[-len(sep):]\n", "",
+           ("tests/test_cli.py::test_plan_rejects_bad_bounds", *WEIGHTS_TESTS)),
     Mutant("plan-machine-separator-without-space", "cli.py",
            '_weights(low, excess, ", ")', '_weights(low, excess, ",")', PLAN_RECORD_TESTS),
     Mutant("plan-machine-closing-bracket-dropped", "cli.py",
            '", ")}], {tail}', '", ")}, {tail}', PLAN_RECORD_TESTS),
-    Mutant("weights-low-and-high-swapped", "cli.py",
-           'f"{low + 1}{sep}".encode()).replace(\n        b"\\x00", f"{low}{sep}"',
-           'f"{low}{sep}".encode()).replace(\n        b"\\x00", f"{low + 1}{sep}"',
+    Mutant("weights-tokens-swapped", "cli.py",
+           "bytes((lo[j], hi[j]))", "bytes((hi[j], lo[j]))",
            ("tests/test_cli.py::test_plan_profile_matches_enumeration",
-            *PLAN_RECORD_TESTS)),
+            *PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
+    Mutant("weights-padding-kept", "cli.py",
+           "    if not lo[0]:\n", "    if False:\n", WEIGHTS_TESTS),
     # the text line's separator is one character, so only the machine
     # record keeps a trailing comma
-    Mutant("weights-slice-one-character", "cli.py",
-           "[:-len(sep)]", "[:-1]", PLAN_RECORD_TESTS),
+    Mutant("weights-delete-one-character", "cli.py",
+           "del out[-len(sep):]", "del out[-1:]", (*PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
     Mutant("check-table-one-short", "cli.py",
            "range(max(profile) + 1)", "range(max(profile))",
            ("tests/test_cli.py::test_check_verbose_profile_spans_zero_to_s",)),
@@ -134,8 +137,12 @@ CATALOGUE = [
     Mutant("excess-seed-flip-dropped", "admissibility.py",
            "        p ^= (1 << n) - 1\n", "        pass\n", EXCESS_TESTS),
     Mutant("excess-rotation-by-s-minus-1", "admissibility.py",
-           "int(bits[s:] + bits[:s], 2)", "int(bits[s - 1:] + bits[:s - 1], 2)",
-           EXCESS_TESTS),
+           "(x << s | x >> n - s)", "(x << s - 1 | x >> n - s + 1)", EXCESS_TESTS),
+    # unmasked, the rotation keeps the word's top s bits above bit n - 1,
+    # and the prefix fold carries them down into the excess
+    Mutant("excess-rotation-mask-dropped", "admissibility.py",
+           "p = x ^ ((x << s | x >> n - s) & (1 << n) - 1)",
+           "p = x ^ (x << s | x >> n - s)", EXCESS_TESTS),
     Mutant("excess-prefix-inclusive", "admissibility.py",
            "    p >>= 1\n", "", EXCESS_TESTS),
     Mutant("criterion-strict", "admissibility.py",
