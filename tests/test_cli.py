@@ -508,20 +508,22 @@ def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
 
 
 def test_plan_profile_matches_enumeration(capsys):
-    # the text line and the machine field, under --alphabet 01 and --canonical
-    for n in range(1, 19):
-        for k in range(1, n + 1):
-            word = words.mechanical_word(n, k)
-            for s in range(1, n + 1):
-                weights = naive.windows(word, s)
-                argv = ["plan", str(n), str(k), str(s), str(min(weights))]
-                for flags in (["--alphabet", "01"], ["--canonical"]):
-                    code, out, _ = run(capsys, *argv, *flags)
-                    assert code == 0
-                    assert out.splitlines()[2] == (
-                        f"window weights (s={s}): {' '.join(map(str, weights))}"), argv
-                    code, record, _ = machine(capsys, *argv, *flags)
-                    assert code == 0 and record["profile"] == weights, argv
+    # the text line and the machine field, plain, under --alphabet 01 and
+    # --canonical; every cell with n <= 18, and four whose windows weigh 99 or
+    # 100 (999 or 1000), so the heavy token is a digit longer than the light one
+    cells = [(n, k, s) for n in range(1, 19) for k in range(1, n + 1) for s in range(1, n + 1)]
+    cells += [(200, 100, 199), (250, 149, 167), (300, 101, 295), (2000, 1000, 1999)]
+    for n, k, s in cells:
+        weights = naive.windows(words.mechanical_word(n, k), s)
+        assert n <= 18 or {min(weights), max(weights)} in ({99, 100}, {999, 1000})
+        argv = ["plan", str(n), str(k), str(s), str(min(weights))]
+        for flags in ([], ["--alphabet", "01"], ["--canonical"]):
+            code, out, _ = run(capsys, *argv, *flags)
+            assert code == 0
+            assert out.splitlines()[2] == (
+                f"window weights (s={s}): {' '.join(map(str, weights))}"), argv
+            code, record, _ = machine(capsys, *argv, *flags)
+            assert code == 0 and record["profile"] == weights, argv
 
 
 def test_weights_at_every_carry_shape():
@@ -535,22 +537,6 @@ def test_weights_at_every_carry_shape():
                            bytes(rng.getrandbits(1) for _ in range(rng.randint(2, 300)))):
                 assert cli._weights(low, excess, sep) == sep.join(
                     str(low + e) for e in excess), (low, sep, excess)
-
-
-def test_plan_three_digit_weights_match_enumeration(capsys):
-    # windows weighing 99 or 100 (and 999 or 1000), so the heavy token is a
-    # digit longer than the light one, which the n <= 18 grid never reaches
-    for n, k, s in ((200, 100, 199), (250, 149, 167), (300, 101, 295), (2000, 1000, 1999)):
-        weights = naive.windows(words.mechanical_word(n, k), s)
-        assert {min(weights), max(weights)} in ({99, 100}, {999, 1000}), (n, k, s)
-        argv = ["plan", str(n), str(k), str(s), str(min(weights))]
-        for flags in ([], ["--alphabet", "01"], ["--canonical"]):
-            code, out, _ = run(capsys, *argv, *flags)
-            assert code == 0
-            assert out.splitlines()[2] == (
-                f"window weights (s={s}): {' '.join(map(str, weights))}"), argv
-            code, record, _ = machine(capsys, *argv, *flags)
-            assert code == 0 and record["profile"] == weights, argv
 
 
 def test_plan_machine_record_is_json_dumps_of_its_fields(capsys):

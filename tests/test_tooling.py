@@ -138,7 +138,7 @@ def test_kernel_timer_runs_at_tiny_size():
     # tools/kernels.py, scaled down: one JSON line per table row, in order,
     # each with ordered quartiles and the interpreter it ran on
     tool = ROOT / "tools" / "kernels.py"
-    result = subprocess.run([sys.executable, str(tool), "--scale", "0.0001", "--repeats", "3"],
+    result = subprocess.run([sys.executable, str(tool), "--scale", "0.0001"],
                             capture_output=True, text=True, check=True, timeout=60)
     spec = importlib.util.spec_from_file_location("kernels", tool)
     kernels = importlib.util.module_from_spec(spec)
@@ -146,7 +146,7 @@ def test_kernel_timer_runs_at_tiny_size():
     lines = [json.loads(line) for line in result.stdout.splitlines()]
     assert [line["kernel"] for line in lines] == [name for name, _, _ in kernels.TABLE]
     for line in lines:
-        assert line["n"] >= 2 and line["repeats"] == 3
+        assert line["n"] >= 2 and line["repeats"] == kernels.REPEATS
         assert 0 <= line["q1_ms"] <= line["median_ms"] <= line["q3_ms"], line
         assert line["python"] == platform.python_version()
         assert line["cpu_count"] == os.cpu_count()

@@ -3,7 +3,7 @@
 
 For each row of a fixed table (kernel, size, arguments drawn from a seeded
 generator) the script builds the inputs, calls the kernel once untimed, then
-times `--repeats` calls with time.perf_counter and prints one JSON line: the
+times REPEATS calls with time.perf_counter and prints one JSON line: the
 kernel, its size and arguments, the median and quartiles in milliseconds, the
 Python version and os.cpu_count(). The table and its seed are fixed, so two
 checkouts time the same calls and their lines compare row by row. These are
@@ -13,7 +13,7 @@ layer figures: an end-to-end claim still needs perfbench/run.py.
 run checks that the table still runs. Stdlib only; it is not part of the test
 suite. Run from any directory:
 
-    python3 tools/kernels.py [--repeats 15] [--scale 1]
+    python3 tools/kernels.py [--scale 1]
 """
 
 import argparse
@@ -36,6 +36,7 @@ from mechwords.admissibility import _mechanical_excess  # noqa: E402
 from mechwords.words import _window_weights  # noqa: E402
 
 SEED = 6
+REPEATS = 15
 
 
 def _slope(n, rng, coprime=False):
@@ -113,23 +114,22 @@ TABLE = [
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args(argv)
-    if args.repeats < 2 or args.scale <= 0:
-        parser.error("--repeats must be at least 2 and --scale positive")
+    if args.scale <= 0:
+        parser.error("--scale must be positive")
     for name, size, setup in TABLE:
         n = max(2, int(size * args.scale))
         arguments, call = setup(n, random.Random(f"{SEED} {name}"))
         call()
         times = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             call()
             times.append((time.perf_counter() - start) * 1e3)
         q1, median, q3 = statistics.quantiles(times, n=4)
         print(json.dumps({
-            "kernel": name, "n": n, **arguments, "repeats": args.repeats,
+            "kernel": name, "n": n, **arguments, "repeats": REPEATS,
             "median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4),
             "python": platform.python_version(), "cpu_count": os.cpu_count()}))
     return 0

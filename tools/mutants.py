@@ -50,7 +50,7 @@ PLAN_RECORD_TESTS = (
     "tests/test_cli.py::test_plan_machine_record_is_json_dumps_of_its_fields",)
 EXCESS_TESTS = ("tests/test_admissibility.py::test_mechanical_excess_matches_enumeration",)
 WEIGHTS_TESTS = ("tests/test_cli.py::test_weights_at_every_carry_shape",
-                 "tests/test_cli.py::test_plan_three_digit_weights_match_enumeration")
+                 "tests/test_cli.py::test_plan_profile_matches_enumeration")
 
 CATALOGUE = [
     Mutant("rotation-comparison-flipped", "constructions.py",
@@ -98,8 +98,7 @@ CATALOGUE = [
            '", ")}], {tail}', '", ")}, {tail}', PLAN_RECORD_TESTS),
     Mutant("weights-tokens-swapped", "cli.py",
            "bytes((lo[j], hi[j]))", "bytes((hi[j], lo[j]))",
-           ("tests/test_cli.py::test_plan_profile_matches_enumeration",
-            *PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
+           (*PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
     Mutant("weights-padding-kept", "cli.py",
            "    if not lo[0]:\n", "    if False:\n", WEIGHTS_TESTS),
     # the text line's separator is one character, so only the machine
