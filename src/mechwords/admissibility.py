@@ -7,9 +7,11 @@ of slope k/n always works.
 
 On that word no window needs scanning: its length-m windows weigh
 floor(k*m/n) or one more, so `mechanical_window` finds the lightest one by
-integer arithmetic alone, and `_mechanical_excess` gives the whole profile as
-that floor plus one 0/1 byte per window: the parity prefix of the word XOR its
-rotation, computed on the word packed into one int, with no window summed.
+integer arithmetic alone. `_two_valued` gives the whole profile of any word
+whose windows weigh that floor or one more as the floor plus one 0/1 byte per
+window: the parity prefix of the word XOR its rotation, computed on the word
+packed into one int and certified by one more big-int test, with no window
+summed; on every other word it says so, and the windows are summed.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from typing import NamedTuple
 from .words import (
     A, _as_bits, _check_quota, _check_slope, _check_window, _window_weights, parse_word)
 
-# digits of the packed excess word as the 0/1 bytes _mechanical_excess returns
+# digits of the packed excess word as the 0/1 bytes _two_valued returns
 _EXCESS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -97,38 +99,63 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
     return WindowReport(_first_hit(n - k, n, r, n - 1) if r else 0, m, k * m // n)
 
 
-def _mechanical_excess(word: str, s: int) -> tuple[int, bytes]:
-    """window_weight_profile(word, s) of a balanced word as (low, excess).
+def _two_valued(word: str, k: int, s: int) -> tuple[int, bytes] | None:
+    """window_weight_profile(word, s) as (low, excess) when it is two-valued.
 
-    Holds only for balanced words, such as every mechanical_word: on any other
-    word the result is wrong, not an error. The word is non-empty over {A, B}
-    and 1 <= s <= n; nothing is validated. Weight i is low + excess[i], with
-    low = floor(k*s/n) and excess n bytes of 0/1.
+    For a non-empty word over {A, B} with k letters A and 1 <= s <= n; nothing
+    is validated. When every window weighs low = floor(k*s/n) or low + 1, as on
+    every mechanical_word, the result is low and n bytes of 0/1 with weight i
+    equal to low + excess[i]; on any other word it is None. (The s*k letters
+    counted over all windows average k*s/n, so a profile whose weights differ
+    by at most one takes only the values low and low + 1.)
 
-    Balance makes every weight low or low + 1, so each excess is one bit, and
-    weight[i+1] - weight[i] = x[i+s] - x[i] (x the word as 0/1) gives
-    excess[i+1] = excess[i] ^ x[i] ^ x[i+s]. The excesses are therefore the
-    exclusive prefix XOR of y = x ^ (x rotated left by s), seeded with
-    excess[0] = word.count(A, 0, s) - low. Packed as one int, spot 0 is the
-    top bit, so the word is parsed once and its rotation is two shifts under
-    an n-bit mask; p ^= p >> shift with shift doubling folds every higher bit
-    into each lower one (the inclusive prefix) in about log2(n) big-int steps,
-    one more >> 1 makes it exclusive, and flipping all n bits applies a seed
-    of 1.
+    With x the word as 0/1, weight[i+1] - weight[i] = x[i+s] - x[i], so
+    excess[i+1] = excess[i] ^ y[i] with y = x ^ (x rotated left by s): the
+    excesses are the exclusive prefix XOR of y seeded with word.count(A, 0, s)
+    - low. Packed as one int, spot 0 is the top bit, so the word is parsed
+    once and its rotation is two shifts under an n-bit mask; p ^= p >> shift
+    with shift doubling folds every higher bit into each lower one (the
+    inclusive prefix) in about log2(n) big-int steps, one more >> 1 makes it
+    exclusive, and flipping all n bits applies a seed of 1.
+
+    Two integer tests make the result exact for every word. The seed test
+    (the seed is 0 or 1) gives weight[0] = low + excess[0], and it rejects
+    before the parse. The certificate y & (x ^ p) == 0 says that at every
+    change point (y[i] = 1) the step leaves the level it is on: a step up
+    (x[i] = 0) starts from excess 0, a step down (x[i] = 1) from excess 1.
+    By induction weight[i] = low + excess[i] for every i: where y[i] = 0
+    neither moves, and a step from low + e lands on low + (1 - e). Conversely
+    a two-valued profile passes both, since its true excess is this prefix and
+    a window can rise only from low and fall only from low + 1.
     Base-2 int() and format() have no digit limit, so any n is taken.
     """
     n = len(word)
-    low = word.count(A) * s // n
+    low = k * s // n
+    seed = word.count(A, 0, s) - low
+    if seed not in (0, 1):
+        return None
+    mask = (1 << n) - 1
     x = int(_as_bits(word), 2)
-    p = x ^ ((x << s | x >> n - s) & (1 << n) - 1)
+    y = x ^ ((x << s | x >> n - s) & mask)
+    p = y
     shift = 1
     while shift < n:
         p ^= p >> shift
         shift *= 2
     p >>= 1
-    if word.count(A, 0, s) > low:
-        p ^= (1 << n) - 1
+    if seed:
+        p ^= mask
+    if y & (x ^ p):
+        return None
     return low, format(p, f"0{n}b").encode().translate(_EXCESS)
+
+
+def _check_instance(word: str, s: int, t: int) -> None:
+    # check's arguments in check's first-error order (letters, empty word, s,
+    # then t), with no window summed
+    parse_word(word)
+    _check_window("s", s, len(word))
+    _check_quota(t)
 
 
 def is_admissible(word: str, s: int, t: int) -> bool:

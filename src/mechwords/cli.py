@@ -15,10 +15,10 @@ import sys
 from typing import Sequence
 
 from .admissibility import (
-    AdmissibilityQuery, _mechanical_excess, criterion, mechanical_window, window_weight_profile)
+    AdmissibilityQuery, _check_instance, _two_valued, criterion, mechanical_window)
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
-from .words import _as_bits, _check_quota, _check_slope, _check_window, mechanical_word
+from .words import _as_bits, _check_slope, _check_window, _window_weights, mechanical_word
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -95,7 +95,11 @@ def cmd_plan(args) -> int:
     # --canonical is a no-op: the mechanical word is its least rotation
     word = mechanical_word(query.n, query.k)
     # the word is balanced, so each window weighs low + its 0/1 excess byte
-    low, excess = _mechanical_excess(word, query.s)
+    profile = _two_valued(word, query.k, query.s)
+    if profile is None:
+        raise RuntimeError(f"the length-{query.s} window profile of "
+                           f"mechanical_word({query.n}, {query.k}) is not two-valued")
+    low, excess = profile
     witness = mechanical_window(query.n, query.k, query.s)
     shown = _rendered(word, args)
     record.update(verdict="admissible", word=shown)
@@ -158,14 +162,21 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     word, s, t = args.word, args.s, args.t
-    # the profile is the one validation pass: letters, empty word, then s
-    profile = window_weight_profile(word, s)
-    _check_quota(t)
-    weight = min(profile)
-    start = profile.index(weight)
+    _check_instance(word, s, t)
+    k = word.count("A")
+    two_valued = _two_valued(word, k, s)
+    if two_valued:
+        # every window weighs low or low + 1, and they average k*s/n < low + 1,
+        # so the first light window is the lightest
+        low, excess = two_valued
+        weight, start = low, excess.find(0)
+    else:
+        profile = _window_weights(word, s)
+        weight = min(profile)
+        start = profile.index(weight)
     admissible = weight >= t
     shown = _rendered(word, args)
-    record = {"command": "check", "word": shown, "n": len(word), "k": word.count("A"),
+    record = {"command": "check", "word": shown, "n": len(word), "k": k,
               "s": s, "t": t,
               "verdict": "admissible" if admissible else "not-admissible",
               "witness_start": start, "witness_weight": weight}
@@ -175,7 +186,9 @@ def cmd_check(args) -> int:
         lines = [f"NOT ADMISSIBLE: window at start {start} holds {weight} < {t} letters A"]
     lines.append(f"min window: start {start}, weight {weight}")
     if args.verbose and args.format == "machine":
-        record.update(profile=profile)
+        record.update(profile=[low + e for e in excess] if two_valued else profile)
+    elif args.verbose and two_valued:
+        lines.append(f"window weights (s={s}): {_weights(low, excess, ' ')}")
     elif args.verbose:
         # each of the at most s + 1 distinct weights is rendered once, then looked up
         table = [str(v) for v in range(max(profile) + 1)]

@@ -8,6 +8,7 @@ import naive
 from mechwords import (
     AdmissibilityQuery,
     WindowReport,
+    admissibility,
     criterion,
     discrepancy,
     is_admissible,
@@ -16,8 +17,8 @@ from mechwords import (
     rotation_equivalent,
     window_weight_profile,
 )
-from mechwords.admissibility import _mechanical_excess
-from mechwords.words import _window_weights
+from mechwords.admissibility import _two_valued
+from mechwords.words import _as_bits
 
 
 @pytest.mark.parametrize("word, m, expected", [
@@ -61,30 +62,76 @@ def test_empty_word_is_rejected_before_the_window():
         window_weight_profile("ABX", 0)
 
 
-def test_mechanical_excess_matches_enumeration():
-    # k == n, s == n, n | k*s and gcd(n, k) > 1 all fall inside the grid
-    for n in range(1, 41):
+def check_two_valued(word, s, weights):
+    # _two_valued gives the profile exactly when its weights differ by at most one
+    result = _two_valued(word, word.count("A"), s)
+    if max(weights) - min(weights) > 1:
+        assert result is None, (word, s)
+        return False
+    low, excess = result
+    assert len(excess) == len(word) and set(excess) <= {0, 1}
+    assert [low + e for e in excess] == weights, (word, s)
+    return True
+
+
+def test_two_valued_iff_profile_is_two_valued():
+    # every word with n <= 12 (k = 0, k == n, s == n and n | k*s among them),
+    # then every mechanical word with n <= 40 (gcd(n, k) > 1 among them)
+    for n in range(1, 13):
+        for word in naive.all_words(n):
+            for s in range(1, n + 1):
+                check_two_valued(word, s, naive.windows(word, s))
+    for n in range(13, 41):
         for k in range(1, n + 1):
             word = mechanical_word(n, k)
             for s in range(1, n + 1):
-                low, excess = _mechanical_excess(word, s)
-                assert len(excess) == n and set(excess) <= {0, 1}
-                assert [low + e for e in excess] == naive.windows(word, s), (n, k, s)
+                assert check_two_valued(word, s, naive.windows(word, s)), (n, k, s)
 
 
-def test_mechanical_excess_matches_window_kernel_at_large_n():
-    rng = random.Random(20)
-    for n in [2 * 10**5] + [rng.randint(1, 2 * 10**5) for _ in range(24)]:
-        k, s = rng.randint(1, n), rng.randint(1, n)
-        word = mechanical_word(n, k)
-        low, excess = _mechanical_excess(word, s)
-        assert [low + e for e in excess] == _window_weights(word, s), (n, k, s)
+def test_two_valued_on_one_swap_words():
+    # a mechanical word with one A and one B exchanged; both outcomes occur
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 3000)
+        word = list(mechanical_word(n, rng.randint(1, n - 1)))
+        i = rng.choice([j for j, c in enumerate(word) if c == "A"])
+        j = rng.choice([j for j, c in enumerate(word) if c == "B"])
+        word[i], word[j] = "B", "A"
+        word = "".join(word)
+        s = rng.randint(1, n)
+        outcomes.add(check_two_valued(word, s, naive.windows(word, s)))
+    assert outcomes == {False, True}
+
+
+def test_two_valued_seed_test_rejects_before_parsing(monkeypatch):
+    # a first window out of low..low + 1 is refused without packing the word
+    parsed = []
+    monkeypatch.setattr(admissibility, "_as_bits", lambda word: parsed.append(word) or _as_bits(word))
+    assert _two_valued("AABBBBBB", 2, 2) is None and parsed == []
+    assert _two_valued("BBAAAAAA", 6, 2) is None and parsed == []
+    word = mechanical_word(8, 3)
+    low, excess = _two_valued(word, 3, 4)
+    assert [low + e for e in excess] == naive.windows(word, 4) and parsed == [word]
 
 
 def ceiling_weights(n, k, m, starts):
     # window weights of the slope-k/n word from the ceiling formula alone:
     # the window from i holds ceil(k*(i+m)/n) - ceil(k*i/n) letters A
     return [-(-k * (i + m) // n) + (k * i // -n) for i in starts]
+
+
+def test_two_valued_matches_ceiling_formula_at_large_n():
+    # mechanical words, every other one rotated left by a random cut r, which
+    # moves the window from i + r of the word to start i
+    rng = random.Random(20)
+    for index, n in enumerate([2 * 10**5] + [rng.randint(1, 2 * 10**5) for _ in range(24)]):
+        k, s = rng.randint(1, n), rng.randint(1, n)
+        r = rng.randrange(n) if index % 2 else 0
+        word = mechanical_word(n, k)
+        low, excess = _two_valued(word[r:] + word[:r], k, s)
+        assert [low + e for e in excess] == ceiling_weights(n, k, s, range(r, r + n)), (
+            n, k, s, r)
 
 
 def test_mechanical_window_matches_ceiling_formula():

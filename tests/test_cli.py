@@ -11,6 +11,8 @@ import re
 import sys
 from math import gcd
 
+import pytest
+
 import naive
 from mechwords import (
     AdmissibilityQuery, admissibility, canonical_rotation, cli, constructions, oracle, words)
@@ -496,15 +498,53 @@ def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
         calls.append(m)
         return words._window_weights(word, m)
 
-    monkeypatch.setattr(admissibility, "_window_weights", counting)
+    for module in (admissibility, cli):
+        monkeypatch.setattr(module, "_window_weights", counting)
     # plan scans no window at all: its profile comes from the parity kernel
     code, record, _ = machine(capsys, "plan", "1000", "382", "17", "6")
     assert code == 0 and record["witness_weight"] == 6
     assert record["profile"] == naive.windows(words.mechanical_word(1000, 382), 17)
     assert calls == []
+    # neither does check on a word whose windows weigh 2 or 3
     code, record, _ = machine(capsys, "check", "ABABABB", "5", "2", "--verbose")
     assert code == 0 and record["profile"] == naive.windows("ABABABB", 5)
-    assert calls == [5]
+    assert calls == []
+    # weights 0 to 3: the kernel refuses the word, and check scans it once
+    code, record, _ = machine(capsys, "check", "AAABBBBBBB", "6", "2", "--verbose")
+    assert code == 2 and record["profile"] == naive.windows("AAABBBBBBB", 6)
+    assert calls == [6]
+
+
+def test_plan_stops_on_a_profile_the_kernel_refuses(capsys, monkeypatch):
+    # a mechanical word whose profile the kernel did not certify is a fault of
+    # the program, not of the input: it raises rather than exiting 1
+    monkeypatch.setattr(cli, "_two_valued", lambda word, k, s: None)
+    message = r"^the length-3 window profile of mechanical_word\(10, 4\) is not two-valued$"
+    with pytest.raises(RuntimeError, match=message):
+        main(["plan", "10", "4", "3", "1"])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_check_refuses_negative_quota_before_any_scan(capsys, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for module in (admissibility, cli):
+        monkeypatch.setattr(module, "_window_weights", counting("scan", words._window_weights))
+    monkeypatch.setattr(cli, "_two_valued", counting("kernel", admissibility._two_valued))
+    rng = random.Random(27)
+    word = "".join(rng.choice("AB") for _ in range(10**5))
+    assert run(capsys, "check", word, "500", "-1") == (1, "", "error: t must be non-negative\n")
+    assert calls == []
+    # the counters see both paths when t is valid
+    for word in (words.mechanical_word(10**5, 38197), word):
+        assert run(capsys, "check", word, "500", "0")[0] == 0
+    assert calls == ["kernel", "kernel", "scan"]
 
 
 def test_plan_profile_matches_enumeration(capsys):

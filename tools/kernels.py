@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mechwords import (  # noqa: E402
     AdmissibilityQuery, arrange, brute_force_exists, cli, criterion, mechanical_word,
     smith_ladder, smith_quotients)
-from mechwords.admissibility import _mechanical_excess  # noqa: E402
+from mechwords.admissibility import _two_valued  # noqa: E402
 from mechwords.words import _window_weights  # noqa: E402
 
 SEED = 6
@@ -71,14 +71,42 @@ def _window_weights_random(n, rng):
 def _excess(n, rng):
     k, s = _slope(n, rng), rng.randint(1, n)
     word = mechanical_word(n, k)
-    return {"k": k, "s": s}, lambda: _mechanical_excess(word, s)
+    return {"k": k, "s": s}, lambda: _two_valued(word, k, s)
+
+
+def _excess_rotated(n, rng):
+    # a rotation of a mechanical word: every profile is two-valued, so the
+    # kernel accepts it
+    k, s, cut = _slope(n, rng), rng.randint(1, n), rng.randrange(n)
+    word = mechanical_word(n, k)
+    word = word[cut:] + word[:cut]
+    return {"k": k, "s": s, "cut": cut}, lambda: _two_valued(word, k, s)
+
+
+def _excess_one_swap(n, rng):
+    # a mechanical word with one A and one B exchanged outside the first
+    # window, at an s where some windows differ by two: the seed test passes
+    # and the certificate refuses, the most the kernel adds to a word that
+    # check then scans. With one letter A or one letter B every profile is
+    # two-valued, so 2 <= k <= n - 2
+    while True:
+        k, s = rng.randint(2, n - 2), rng.randint(1, n - 2)
+        i, j = rng.sample(range(s, n), 2)
+        word = list(mechanical_word(n, k))
+        if word[i] != word[j]:
+            word[i], word[j] = word[j], word[i]
+            word = "".join(word)
+            weights = _window_weights(word, s)
+            if max(weights) - min(weights) > 1:
+                break
+    return {"k": k, "s": s, "swap": [i, j]}, lambda: _two_valued(word, k, s)
 
 
 def _weights(sep, low=None):
     # low fixed at 999 takes the padding delete that low + 1 = 10**j needs
     def setup(n, rng):
         k, s = _slope(n, rng), rng.randint(1, n)
-        drawn, excess = _mechanical_excess(mechanical_word(n, k), s)
+        drawn, excess = _two_valued(mechanical_word(n, k), k, s)
         shown = drawn if low is None else low
         return ({"k": k, "s": s, "low": shown, "sep": sep},
                 lambda: cli._weights(shown, excess, sep))
@@ -104,7 +132,9 @@ TABLE = [
     ("arrange", 10**6, _arrange),
     ("smith_ladder", 10**6, _smith_ladder),
     ("words._window_weights", 10**5, _window_weights_random),
-    ("admissibility._mechanical_excess", 10**6, _excess),
+    ("admissibility._two_valued", 10**6, _excess),
+    ("admissibility._two_valued rotated", 10**5, _excess_rotated),
+    ("admissibility._two_valued one swap", 10**5, _excess_one_swap),
     ("cli._weights text", 10**6, _weights(" ")),
     ("cli._weights machine", 10**6, _weights(", ")),
     ("cli._weights text, low 999", 10**6, _weights(" ", 999)),

@@ -48,7 +48,7 @@ ROTATION_TESTS = (
 LANE_TESTS = ("tests/test_oracle.py::test_unbalanced_lengths_match_naive_balance",)
 PLAN_RECORD_TESTS = (
     "tests/test_cli.py::test_plan_machine_record_is_json_dumps_of_its_fields",)
-EXCESS_TESTS = ("tests/test_admissibility.py::test_mechanical_excess_matches_enumeration",)
+EXCESS_TESTS = ("tests/test_admissibility.py::test_two_valued_iff_profile_is_two_valued",)
 WEIGHTS_TESTS = ("tests/test_cli.py::test_weights_at_every_carry_shape",
                  "tests/test_cli.py::test_plan_profile_matches_enumeration")
 
@@ -134,16 +134,26 @@ CATALOGUE = [
     Mutant("balance-lengths-only-up-to-n", "oracle.py",
            "for m in range(1, 2 * n + 1):", "for m in range(1, n + 1):", LANE_TESTS),
     Mutant("excess-seed-flip-dropped", "admissibility.py",
-           "        p ^= (1 << n) - 1\n", "        pass\n", EXCESS_TESTS),
+           "        p ^= mask\n", "        pass\n", EXCESS_TESTS),
     Mutant("excess-rotation-by-s-minus-1", "admissibility.py",
            "(x << s | x >> n - s)", "(x << s - 1 | x >> n - s + 1)", EXCESS_TESTS),
     # unmasked, the rotation keeps the word's top s bits above bit n - 1,
     # and the prefix fold carries them down into the excess
     Mutant("excess-rotation-mask-dropped", "admissibility.py",
-           "p = x ^ ((x << s | x >> n - s) & (1 << n) - 1)",
-           "p = x ^ (x << s | x >> n - s)", EXCESS_TESTS),
+           "y = x ^ ((x << s | x >> n - s) & mask)",
+           "y = x ^ (x << s | x >> n - s)", EXCESS_TESTS),
     Mutant("excess-prefix-inclusive", "admissibility.py",
            "    p >>= 1\n", "", EXCESS_TESTS),
+    Mutant("two-valued-certificate-dropped", "admissibility.py",
+           "    if y & (x ^ p):\n        return None\n", "", EXCESS_TESTS),
+    # without the seed test the certificate still refuses every such word: it
+    # passes only where weight[i] - excess[i] is one constant L, and windows
+    # whose weights average k*s/n then need L = low; so only the packing of a
+    # word the seed test would refuse unpacked shows the mutant
+    Mutant("two-valued-seed-test-dropped", "admissibility.py",
+           "    if seed not in (0, 1):\n        return None\n", "",
+           ("tests/test_admissibility.py::test_two_valued_seed_test_rejects_before_parsing",
+            *EXCESS_TESTS)),
     Mutant("criterion-strict", "admissibility.py",
            "query.n * query.t <= query.k * query.s", "query.n * query.t < query.k * query.s",
            ("tests/test_admissibility.py::test_criterion_examples",)),
@@ -158,6 +168,9 @@ CATALOGUE = [
            "list(accumulate(closed, initial=0)) == ceilings",
            "list(accumulate(closed, initial=0)) == [c + 1 for c in ceilings]",
            ("tests/test_cli.py::test_verify_small",)),
+    Mutant("check-witness-first-heavy-byte", "cli.py",
+           "excess.find(0)", "excess.find(1)",
+           ("tests/test_cli.py::test_check_witness_is_first_minimum_window",)),
     Mutant("check-witness-last-minimum", "cli.py",
            "start = profile.index(weight)",
            "start = len(profile) - 1 - profile[::-1].index(weight)",
