@@ -24,9 +24,9 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NEGATIVE = 2
 
-# largest n_max verify takes: the balance sweep's (n, k, m) count grows like
-# n_max**3, and a fresh `verify 200` takes about 6 s (0.2 s at 50, 0.7-1 s at
-# 100; Python 3.11, shared 2-core host), far below oracle.LANE_N_MAX
+# largest n_max verify takes: the equivalence and balance sweeps build and
+# check about n_max**3 / 3 letters, and a fresh `verify 200` takes about
+# 0.6 s (0.2 s at 50 and at 100; Python 3.11, shared 2-core host)
 VERIFY_CAP = 200
 # largest n that generate and an admissible plan build a word for: plan peaks
 # at about 17 bytes per letter above the interpreter's 15 MB in text and 21 in
@@ -185,15 +185,21 @@ def cmd_check(args) -> int:
     else:
         lines = [f"NOT ADMISSIBLE: window at start {start} holds {weight} < {t} letters A"]
     lines.append(f"min window: start {start}, weight {weight}")
-    if args.verbose and args.format == "machine":
-        record.update(profile=[low + e for e in excess] if two_valued else profile)
-    elif args.verbose and two_valued:
-        lines.append(f"window weights (s={s}): {_weights(low, excess, ' ')}")
-    elif args.verbose:
-        # each of the at most s + 1 distinct weights is rendered once, then looked up
-        table = [str(v) for v in range(max(profile) + 1)]
-        lines.append(f"window weights (s={s}): {' '.join(map(table.__getitem__, profile))}")
-    _emit(args, record, lines)
+    machine = args.format == "machine"
+    if args.verbose:
+        sep = ", " if machine else " "
+        if two_valued:
+            weights = _weights(low, excess, sep)
+        else:
+            # each of the at most s + 1 distinct weights is rendered once, then looked up
+            table = [str(v) for v in range(max(profile) + 1)]
+            weights = sep.join(map(table.__getitem__, profile))
+        lines.append(f"window weights (s={s}): {weights}")
+    if args.verbose and machine:
+        # json.dumps of the whole record, with the profile array spliced in as text
+        print(f'{json.dumps(record)[:-1]}, "profile": [{weights}]}}')
+    else:
+        _emit(args, record, lines)
     return EXIT_OK if admissible else EXIT_NEGATIVE
 
 

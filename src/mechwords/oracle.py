@@ -11,7 +11,6 @@ constructions' equivalence and the balance bounds of every mechanical word.
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from struct import pack
 from typing import NamedTuple
 
 from .admissibility import AdmissibilityQuery, criterion, is_admissible
@@ -20,10 +19,6 @@ from .words import _BYTES, A, B, check_balance, mechanical_word
 
 # largest n the search takes
 CAP = 20
-# the balance sweep's 16-bit lanes hold _HALF + weight - floor(m*k/n), which
-# stays in 0..2**16 while the length m <= 2n stays below _HALF
-_HALF = 1 << 15
-LANE_N_MAX = (_HALF - 1) // 2
 
 
 class OracleResult(NamedTuple):
@@ -76,33 +71,6 @@ def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
     return OracleResult(False, None, len(necklaces))
 
 
-def _unbalanced_lengths(prefix: list[int]) -> list[int]:
-    # the lengths m <= 2n at which a word of length n has a window outside
-    # floor(m*k/n)..ceil(m*k/n), from its prefix-count table P over three
-    # periods (3n + 1 entries). P is packed into one int of 16-bit lanes; lanes
-    # m..m+n-1 minus lanes 0..n-1 are the n window weights of length m, one
-    # big-int subtraction for all of them. Prefix counts never fall, so no lane
-    # borrows; lane i is offset to _HALF + w_i - floor, and |w_i - floor| <= m
-    # <= 2n < _HALF, so none carries or borrows either. The length is balanced
-    # when every lane reads _HALF or _HALF + 1 (all bits but the lowest read
-    # _HALF). When n divides m*k, floor = ceil needs no test of its own: the n
-    # weights sum to m*k, so a window at floor + 1 forces one below floor
-    n = len(prefix) // 3
-    weight = prefix[n]
-    packed = int.from_bytes(pack(f"<{len(prefix)}H", *prefix), "little")
-    mask = (1 << 16 * n) - 1
-    ones = mask // 0xFFFF
-    target = _HALF * ones
-    pair = 0xFFFE * ones
-    base = target - (packed & mask)
-    failing = []
-    for m in range(1, 2 * n + 1):
-        lanes = ((packed >> 16 * m) & mask) + base - m * weight // n * ones
-        if lanes & pair != target:
-            failing.append(m)
-    return failing
-
-
 def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     """Run verify's three sweeps up to n_max; return their counts and failures.
 
@@ -111,18 +79,14 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     recursion's word closed up as A...B hold ceil(k*i/n) letters A in their
     prefix of length i, computed in integers. Oracle grid, n <= 12:
     brute_force_exists agrees with criterion. Balance: each window of length
-    m <= 2n of every mechanical word weighs floor(m*k/n) or ceil(m*k/n).
-    Failures come equivalence first, then grid, then balance. n_max must lie
-    in 1..LANE_N_MAX: a smaller one would pass vacuously, and a larger one's
-    windows overflow the balance sweep's 16-bit lanes. Either raises
-    ValueError before any sweep runs.
+    m <= 2n of every mechanical word weighs floor(m*k/n) or ceil(m*k/n). A
+    word on the ceiling list passes every length by periodicity; a word off
+    it is scanned with check_balance at each m. Failures come equivalence
+    first, then grid, then balance. An n_max below 1 would pass vacuously,
+    so it raises ValueError before any sweep runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    if n_max > LANE_N_MAX:
-        raise ValueError(
-            f"n_max={n_max} is above {LANE_N_MAX}, the largest n the balance "
-            f"sweep's 16-bit lanes hold")
     counts = {"equivalence_pairs": 0, "oracle_cells": 0, "balance_checks": 0}
     equivalence, grid, balance = [], [], []
 
@@ -135,20 +99,22 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
                     if brute_force_exists(query).exists != criterion(query):
                         grid.append(f"criterion n={n} k={k} s={s} t={t}")
 
-    # one prefix-count table over three periods per mechanical word holds
-    # every window's weight as prefix[i + m] - prefix[i], and its first n + 1
-    # entries are the prefix counts the ceiling formula fixes
+    # a word whose prefix of length i holds P[i] = ceil(k*i/n) letters A for
+    # 0 <= i <= n does so for every i, since P[i + n] = P[i] + k; its window
+    # of length m from i then weighs ceil(k*(i+m)/n) - ceil(k*i/n), which is
+    # floor(k*m/n) or ceil(k*m/n). So the ceiling list decides every length
+    # at once, and only a word off it is scanned
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             word = mechanical_word(n, k)
-            prefix = list(accumulate((word * 3).encode().translate(_BYTES), initial=0))
+            ceilings = [-(-k * i // n) for i in range(n + 1)]
+            on_list = list(accumulate(word.encode().translate(_BYTES), initial=0)) == ceilings
             if k < n and gcd(n, k) == 1:
                 counts["equivalence_pairs"] += 1
                 built = arrange(n, k)
                 from_recursion = smith_ladder(smith_quotients(n, k))[-1]
                 closed = (A + from_recursion[:-2] + B).encode().translate(_BYTES)
-                ceilings = [-(-k * i // n) for i in range(n + 1)]
-                if not (prefix[:n + 1] == ceilings
+                if not (on_list
                         and rotation_equivalent(built, from_recursion)
                         and rotation_equivalent(built, word)
                         and list(accumulate(closed, initial=0)) == ceilings):
@@ -156,10 +122,13 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
                         f"equivalence n={n} k={k}: arrange={built} "
                         f"recursion={from_recursion} mechanical={word}")
             counts["balance_checks"] += 2 * n
-            for m in _unbalanced_lengths(prefix):
+            if on_list:
+                continue
+            for m in range(1, 2 * n + 1):
                 result = check_balance(word, m)
-                balance.append(
-                    f"balance n={n} k={k} m={m}: window at start "
-                    f"{result.start} has weight {result.weight}, "
-                    f"bounds [{result.low}, {result.high}]")
+                if not result:
+                    balance.append(
+                        f"balance n={n} k={k} m={m}: window at start "
+                        f"{result.start} has weight {result.weight}, "
+                        f"bounds [{result.low}, {result.high}]")
     return counts, equivalence + grid + balance

@@ -339,6 +339,34 @@ def test_check_verbose_profile_matches_machine(capsys):
     assert profile == record["profile"]
 
 
+def test_check_machine_record_is_json_dumps_of_its_fields(capsys):
+    # the raw line of check --verbose --format machine, profile spliced in as
+    # text: every word with n <= 6, then mechanical words with one A and one
+    # B exchanged or not, whose weights cross 9 to 10 on both the two-valued
+    # and the general path
+    cases = [(word, s) for n in range(1, 7) for word in naive.all_words(n)
+             for s in range(1, n + 1)]
+    for n in (20, 29):
+        for k in range(1, n + 1):
+            word = words.mechanical_word(n, k)
+            i, j = word.find("A"), word.rfind("B")
+            swapped = word if j < 0 else word[:i] + "B" + word[i + 1:j] + "A" + word[j + 1:]
+            cases += [(w, s) for w in (word, swapped) for s in (n // 2, n - 1, n)]
+    for word, s in cases:
+        n, k = len(word), word.count("A")
+        t = k * s // n
+        weights = naive.windows(word, s)
+        start, weight = naive.lightest_window(word, s)
+        argv = ["check", word, str(s), str(t), "--verbose", "--format", "machine"]
+        code, out, _ = run(capsys, *argv)
+        assert code == (0 if weight >= t else 2), argv
+        assert out == json.dumps({
+            "command": "check", "word": word, "n": n, "k": k, "s": s, "t": t,
+            "verdict": "admissible" if weight >= t else "not-admissible",
+            "witness_start": start, "witness_weight": weight,
+            "profile": weights}) + "\n", argv
+
+
 def test_check_verbose_profile_spans_zero_to_s(capsys):
     # a run of s letters B and a run of s letters A: the weights reach both
     # ends of 0..s, the first and the last value the line renders

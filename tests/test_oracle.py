@@ -1,4 +1,4 @@
-"""Brute-force existence search, the necklace enumerator, and the pigeonhole certificate."""
+"""Brute-force existence search, the necklace enumerator, the pigeonhole certificate, and verify's sweeps."""
 
 import random
 import sys
@@ -12,14 +12,14 @@ from mechwords import (
     AdmissibilityQuery,
     OracleResult,
     brute_force_exists,
+    check_balance,
     criterion,
     is_admissible,
     mechanical_word,
     rotation_equivalent,
 )
 from mechwords import oracle
-from mechwords.oracle import (
-    LANE_N_MAX, _necklaces, _unbalanced_lengths, verify_sweeps)
+from mechwords.oracle import _necklaces, verify_sweeps
 
 
 def test_motivating_instance_has_no_arrangement():
@@ -188,39 +188,85 @@ def test_pigeonhole_certifies_impossibility():
                         assert naive.lightest_window(word, s)[1] < t
 
 
-def three_period_prefix(word):
-    # letters A among the first j letters of word*3, counted by slicing
-    periods = word * 3
-    return [periods[:j].count("A") for j in range(len(periods) + 1)]
+def stub_grid(monkeypatch):
+    # every grid cell agrees without a query, a search or the criterion, so
+    # a sweep spends its time on the words
+    monkeypatch.setattr(oracle, "AdmissibilityQuery", lambda *cell: cell)
+    monkeypatch.setattr(oracle, "brute_force_exists", lambda cell: OracleResult(True, None, 0))
+    monkeypatch.setattr(oracle, "criterion", lambda cell: True)
 
 
-def test_unbalanced_lengths_match_naive_balance():
-    # every word over {A, B} with n <= 10, all weights, every length m <= 2n;
-    # then a few words of 300 letters, whose prefix counts need both bytes
-    # of a lane
-    rng = random.Random(18)
-    long_words = [mechanical_word(300, 127), "A" * 150 + "B" * 150,
-                  "".join(rng.choice("AB") for _ in range(300)),
-                  mechanical_word(300, 127).replace("AB", "BA", 1)]
-    for word in [*(w for n in range(1, 11) for w in naive.all_words(n)), *long_words]:
-        n = len(word)
-        expected = [m for m in range(1, 2 * n + 1) if not naive.balance_ok(word, m)]
-        assert _unbalanced_lengths(three_period_prefix(word)) == expected, word
+def naive_balance_failures(word):
+    # verify's line for each length m <= 2n at which the word leaves
+    # floor(m*k/n)..ceil(m*k/n), from the first such window by slicing
+    n, k = len(word), word.count("A")
+    lines = []
+    for m in range(1, 2 * n + 1):
+        if not naive.balance_ok(word, m):
+            low, high = m * k // n, -(-m * k // n)
+            start, weight = next((i, w) for i, w in enumerate(naive.windows(word, m))
+                                 if not low <= w <= high)
+            lines.append(f"m={m}: window at start {start} has weight {weight}, "
+                         f"bounds [{low}, {high}]")
+    return lines
 
 
-def test_verify_sweeps_refuses_lanes_it_cannot_hold(monkeypatch):
-    # past LANE_N_MAX a lane could carry into its neighbour; the refusal
-    # comes before the first grid cell or word, and LANE_N_MAX itself runs
-    def swept(*args):
-        raise RuntimeError("swept")
+def test_verify_sweeps_balance_failures_match_naive_balance(monkeypatch):
+    # every word over {A, B} with n <= 10, all weights, stands in for
+    # mechanical_word(n, k); each verify_sweeps(10) carries the next word of
+    # length n in each slot (n, k), and its balance lines must be those of
+    # naive.balance_ok, whether or not the word is on the ceiling list
+    stub_grid(monkeypatch)
+    pending = {n: list(naive.all_words(n)) for n in range(1, 11)}
+    while any(pending.values()):
+        carried = {(n, k): pending[n].pop() for n in pending for k in range(1, n + 1)
+                   if pending[n]}
+        monkeypatch.setattr(oracle, "mechanical_word",
+                            lambda n, k: carried.get((n, k), mechanical_word(n, k)))
+        counts, failures = verify_sweeps(10)
+        assert counts["balance_checks"] == sum(2 * n * n for n in range(1, 11))
+        found = {}
+        for line in failures:
+            if line.startswith("balance "):
+                slot, rest = line.removeprefix("balance ").split(" m=", 1)
+                found.setdefault(slot, []).append(f"m={rest}")
+        expected = {f"n={n} k={k}": lines for (n, k), word in carried.items()
+                    if (lines := naive_balance_failures(word))}
+        assert found == expected
 
-    monkeypatch.setattr(oracle, "brute_force_exists", swept)
-    monkeypatch.setattr(oracle, "mechanical_word", swept)
-    assert 2 * LANE_N_MAX < 2 ** 15 <= 2 * (LANE_N_MAX + 1)
-    with pytest.raises(ValueError, match="16-bit lanes"):
-        verify_sweeps(LANE_N_MAX + 1)
-    with pytest.raises(RuntimeError, match="swept"):
-        verify_sweeps(LANE_N_MAX)
+
+def test_verify_sweeps_never_scans_a_word_on_the_ceiling_list(monkeypatch):
+    # every mechanical word is on the list, so the balance sweep passes
+    # without one scan
+    def scanned(*args):
+        raise RuntimeError("scanned")
+
+    stub_grid(monkeypatch)
+    monkeypatch.setattr(oracle, "check_balance", scanned)
+    counts, failures = verify_sweeps(40)
+    assert failures == []
+    assert counts["balance_checks"] == sum(2 * n * n for n in range(1, 41))
+
+
+def test_verify_sweeps_scans_an_off_list_word_at_every_length(monkeypatch):
+    # a rotation by one letter is balanced but off the list unless k = n, so
+    # it is scanned at m = 1..2n, in order, with no balance failure
+    lengths = {}
+
+    def recorded(word, m):
+        lengths.setdefault(word, []).append(m)
+        return check_balance(word, m)
+
+    stub_grid(monkeypatch)
+    monkeypatch.setattr(oracle, "check_balance", recorded)
+    rotated = {(n, k): mechanical_word(n, k)[1:] + mechanical_word(n, k)[:1]
+               for n in range(1, 21) for k in range(1, n + 1)}
+    monkeypatch.setattr(oracle, "mechanical_word", lambda n, k: rotated[n, k])
+    counts, failures = verify_sweeps(20)
+    assert not any(line.startswith("balance ") for line in failures)
+    assert lengths == {rotated[n, k]: list(range(1, 2 * n + 1))
+                       for n in range(1, 21) for k in range(1, n)}
+    assert counts["balance_checks"] == sum(2 * n * n for n in range(1, 21))
 
 
 def test_verify_sweeps_refuses_empty_range(monkeypatch):

@@ -9,9 +9,9 @@ Python version and os.cpu_count(). The table and its seed are fixed, so two
 checkouts time the same calls and their lines compare row by row. These are
 layer figures: an end-to-end claim still needs perfbench/run.py.
 
-`--scale` multiplies every size (the oracle grid keeps n_max >= 2), so a tiny
-run checks that the table still runs. Stdlib only; it is not part of the test
-suite. Run from any directory:
+`--scale` multiplies every size (the oracle grid and verify_sweeps keep
+n_max >= 2), so a tiny run checks that the table still runs. Stdlib only; it
+is not part of the test suite. Run from any directory:
 
     python3 tools/kernels.py [--scale 1]
 """
@@ -30,8 +30,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mechwords import (  # noqa: E402
-    AdmissibilityQuery, arrange, brute_force_exists, cli, criterion, mechanical_word,
-    smith_ladder, smith_quotients)
+    AdmissibilityQuery, arrange, brute_force_exists, canonical_rotation, cli, criterion,
+    mechanical_window, mechanical_word, smith_ladder, smith_quotients, verify_sweeps)
 from mechwords.admissibility import _two_valued  # noqa: E402
 from mechwords.words import _window_weights  # noqa: E402
 
@@ -60,6 +60,19 @@ def _smith_ladder(n, rng):
     k = _slope(n, rng, coprime=True)
     quotients = smith_quotients(n, k)
     return {"k": k}, lambda: smith_ladder(quotients)
+
+
+def _mechanical_window(n, rng):
+    k, m = _slope(n, rng), rng.randint(1, n)
+    return {"k": k, "m": m}, lambda: mechanical_window(n, k, m)
+
+
+def _canonical_rotation(n, rng):
+    # a rotation of a mechanical word, whose least rotation is the word itself
+    k, cut = _slope(n, rng), rng.randrange(n)
+    word = mechanical_word(n, k)
+    word = word[cut:] + word[:cut]
+    return {"k": k, "cut": cut}, lambda: canonical_rotation(word)
 
 
 def _window_weights_random(n, rng):
@@ -126,11 +139,22 @@ def _oracle_grid(n_max, rng):
     return {}, grid
 
 
+def _verify_sweeps(n_max, rng):
+    # all three of verify's sweeps; past n_max = 12 the grid is fixed and the
+    # equivalence and balance sweeps grow
+    return {}, lambda: verify_sweeps(n_max)
+
+
 # (kernel, size, setup); setup(size, rng) -> (arguments, call)
 TABLE = [
     ("mechanical_word", 10**6, _mechanical_word),
     ("arrange", 10**6, _arrange),
     ("smith_ladder", 10**6, _smith_ladder),
+    ("mechanical_word", 10**4, _mechanical_word),
+    ("arrange", 10**4, _arrange),
+    ("smith_ladder", 10**4, _smith_ladder),
+    ("mechanical_window", 10**6, _mechanical_window),
+    ("canonical_rotation", 10**6, _canonical_rotation),
     ("words._window_weights", 10**5, _window_weights_random),
     ("admissibility._two_valued", 10**6, _excess),
     ("admissibility._two_valued rotated", 10**5, _excess_rotated),
@@ -139,6 +163,8 @@ TABLE = [
     ("cli._weights machine", 10**6, _weights(", ")),
     ("cli._weights text, low 999", 10**6, _weights(" ", 999)),
     ("oracle grid", 12, _oracle_grid),
+    ("oracle.verify_sweeps", 48, _verify_sweeps),
+    ("oracle.verify_sweeps", 200, _verify_sweeps),
 ]
 
 

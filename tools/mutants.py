@@ -45,7 +45,11 @@ ROTATION_TESTS = (
     "tests/test_constructions.py::test_canonical_rotation_matches_enumeration",
     "tests/test_constructions.py::test_canonical_rotation_of_rotated_mechanical_words",
 )
-LANE_TESTS = ("tests/test_oracle.py::test_unbalanced_lengths_match_naive_balance",)
+BALANCE_TESTS = (
+    "tests/test_oracle.py::test_verify_sweeps_balance_failures_match_naive_balance",
+    "tests/test_oracle.py::test_verify_sweeps_never_scans_a_word_on_the_ceiling_list",
+    "tests/test_oracle.py::test_verify_sweeps_scans_an_off_list_word_at_every_length",
+)
 PLAN_RECORD_TESTS = (
     "tests/test_cli.py::test_plan_machine_record_is_json_dumps_of_its_fields",)
 EXCESS_TESTS = ("tests/test_admissibility.py::test_two_valued_iff_profile_is_two_valued",)
@@ -127,12 +131,15 @@ CATALOGUE = [
     Mutant("necklace-cache-dropped", "oracle.py",
            "@lru_cache(maxsize=1)\ndef _necklaces", "def _necklaces",
            ("tests/test_oracle.py::test_necklaces_are_cached",)),
-    Mutant("lane-mask-drops-two-bits", "oracle.py",
-           "pair = 0xFFFE * ones", "pair = 0xFFFC * ones", LANE_TESTS),
-    Mutant("lane-floor-taken-as-ceil", "oracle.py",
-           "- m * weight // n * ones", "- -(-m * weight // n) * ones", LANE_TESTS),
-    Mutant("balance-lengths-only-up-to-n", "oracle.py",
-           "for m in range(1, 2 * n + 1):", "for m in range(1, n + 1):", LANE_TESTS),
+    # one entry short, the list never equals a word's n + 1 prefix counts, so
+    # every word is scanned
+    Mutant("ceiling-list-one-short", "oracle.py",
+           "for i in range(n + 1)]", "for i in range(n)]", BALANCE_TESTS),
+    Mutant("balance-scan-skipped", "oracle.py",
+           "            if on_list:\n                continue\n",
+           "            continue\n", BALANCE_TESTS),
+    Mutant("balance-scan-only-up-to-n", "oracle.py",
+           "for m in range(1, 2 * n + 1):", "for m in range(1, n + 1):", BALANCE_TESTS),
     Mutant("excess-seed-flip-dropped", "admissibility.py",
            "        p ^= mask\n", "        pass\n", EXCESS_TESTS),
     Mutant("excess-rotation-by-s-minus-1", "admissibility.py",
