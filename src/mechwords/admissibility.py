@@ -11,7 +11,12 @@ integer arithmetic alone. `_two_valued` gives the whole profile of any word
 whose windows weigh that floor or one more as the floor plus one 0/1 byte per
 window: the parity prefix of the word XOR its rotation, computed on the word
 packed into one int and certified by one more big-int test, with no window
-summed; on every other word it says so, and the windows are summed.
+summed. On every other word it says so: `check` then finds the lightest
+window with `words._lightest_window`, from 64-step block minima with no
+Python int per window. The list of all n weights is summed for
+`window_weight_profile`, for `is_admissible` and `discrepancy` (below about
+300 letters, the oracle's sizes, the list is the faster), and for
+`check --verbose`, which renders it.
 """
 
 from dataclasses import dataclass

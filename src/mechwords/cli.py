@@ -18,7 +18,8 @@ from .admissibility import (
     AdmissibilityQuery, _check_instance, _two_valued, criterion, mechanical_window)
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
-from .words import _as_bits, _check_slope, _check_window, _window_weights, mechanical_word
+from .words import (
+    _as_bits, _check_slope, _check_window, _lightest_window, _window_weights, mechanical_word)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -171,9 +172,7 @@ def cmd_check(args) -> int:
         low, excess = two_valued
         weight, start = low, excess.find(0)
     else:
-        profile = _window_weights(word, s)
-        weight = min(profile)
-        start = profile.index(weight)
+        start, weight = _lightest_window(word, s)
     admissible = weight >= t
     shown = _rendered(word, args)
     record = {"command": "check", "word": shown, "n": len(word), "k": k,
@@ -191,7 +190,9 @@ def cmd_check(args) -> int:
         if two_valued:
             weights = _weights(low, excess, sep)
         else:
-            # each of the at most s + 1 distinct weights is rendered once, then looked up
+            # the profile is summed only to be rendered; each of its at most
+            # s + 1 distinct weights is rendered once, then looked up
+            profile = _window_weights(word, s)
             table = [str(v) for v in range(max(profile) + 1)]
             weights = sep.join(map(table.__getitem__, profile))
         lines.append(f"window weights (s={s}): {weights}")

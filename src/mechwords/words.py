@@ -6,8 +6,8 @@ how circular arrangements are read. Everything here is exact integer
 arithmetic; no floats appear anywhere in the library.
 """
 
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, product, repeat
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 A = "A"
@@ -123,6 +123,90 @@ def _window_weights(word: str, m: int) -> list[int]:
     bits = word.encode().translate(_BYTES)
     first = q * word.count(A) + word.count(A, 0, r)
     return list(accumulate(map(sub, bits[r:] + bits[:r], bits[:-1]), initial=first))
+
+
+def _block_tables() -> tuple[bytes, bytes]:
+    # a 4-step block keyed by the byte x0 r0 x1 r1 x2 r2 x3 r3 (spot by spot
+    # from the top: the word's letter, then the letter s spots on, as 1/0),
+    # whose step j is r_j - x_j, so the pairs 00, 01, 10, 11 step 0, 1, -1, 0:
+    # its step sum and its lowest prefix (the least of the sums before each
+    # of its steps, 0 the first), each plus 64
+    sums, lows = bytearray(), bytearray()
+    for a, b, c, d in product((0, 1, -1, 0), repeat=4):
+        sums.append(a + b + c + d + 64)
+        lows.append(min(0, a, a + b, a + b + c) + 64)
+    return bytes(sums), bytes(lows)
+
+
+_SUM4, _LOW4 = _block_tables()
+
+
+def _lightest_window(word: str, s: int) -> tuple[int, int]:
+    """(start, weight) of the first lightest circular window of s spots.
+
+    For a non-empty word over {A, B} and 1 <= s <= n; nothing is validated.
+    The result is the minimum of _window_weights(word, s) and its first
+    index, found with no Python int made per window.
+
+    With x the word as 0/1, window i + 1 weighs d[i] = x[i+s] - x[i] more
+    than window i, so weight[i] is weight[0] plus the sum of d[0..i-1]. The
+    word's digits and those of its rotation by s are interleaved and parsed
+    as one int, whose bytes key the steps 4 at a time; two 256-byte tables
+    give each 4-step block its step sum and its lowest prefix, both plus 64.
+    Four merges pair blocks 2j and 2j + 1 into blocks of 8, 16, 32 and 64
+    steps, with sum = sa + sb and low = min(la, sa + lb), each merge a few
+    big-int operations on the blocks' bytes as the byte lanes of two ints.
+    One accumulate over the 64-step sums gives the weight at each block's
+    first spot, and with the block's low its lightest window; the first
+    lightest block holds the first lightest window, found by a walk of at
+    most 64 steps.
+
+    Padding. The steps past n and the zero-step block that evens an odd
+    count before a merge come after every real step, so their prefixes
+    equal the sum of all n steps, 0, the prefix of window 0: the first
+    lightest window is never among them.
+
+    Lane bounds. A block of m steps has sum in -m..m and low in -(m-1)..0,
+    so at m <= 64 every stored lane (value plus 64) lies in 0..128. Merging
+    two m-step blocks (m <= 32), the lanewise sums SA + SB and SA + LB lie
+    in 128 - 2m..128 + 2m, within 64..192: no lane carries, and subtracting
+    64 from each borrows from none. That leaves V = SA + LB - 64 in 1..96 and
+    LA in 1..64, both below 128, so (LA | 0x80) - V lies in 33..191 in each
+    lane, borrows from none, and has its top bit set exactly when LA >= V;
+    that bit, spread over its byte, selects V over LA.
+    """
+    n = len(word)
+    bits = _as_bits(word)
+    pad = -n % 4
+    digits = bytearray(b"0") * (2 * (n + pad))
+    digits[0:2 * n:2] = bits.encode()
+    digits[1:2 * n:2] = (bits[s:] + bits[:s]).encode()
+    keys = int(digits, 2).to_bytes((n + pad) // 4, "big")
+    sums, lows = keys.translate(_SUM4), keys.translate(_LOW4)
+    for _ in range(4):
+        if len(sums) % 2:
+            sums += b"\x40"
+            lows += b"\x40"
+        half = len(sums) // 2
+        ones = int.from_bytes(b"\x01" * half, "big")
+        sa, sb = int.from_bytes(sums[0::2], "big"), int.from_bytes(sums[1::2], "big")
+        la, lb = int.from_bytes(lows[0::2], "big"), int.from_bytes(lows[1::2], "big")
+        v = sa + lb - (ones << 6)
+        select = (((la | ones << 7) - v) >> 7 & ones) * 0xFF
+        sums = (sa + sb - (ones << 6)).to_bytes(half, "big")
+        lows = (la ^ ((la ^ v) & select)).to_bytes(half, "big")
+    starts = list(accumulate(map(sub, sums, repeat(64)), initial=word.count(A, 0, s)))
+    tops = list(map(add, starts, lows))
+    top = min(tops)
+    block = tops.index(top)
+    weight = top - 64
+    # digits 2i and 2i + 1 are x[i] and x[i+s] as ASCII 0/1, so their
+    # difference is d[i]
+    i, w = 64 * block, starts[block]
+    while w != weight:
+        w += digits[2 * i + 1] - digits[2 * i]
+        i += 1
+    return i, weight
 
 
 def check_balance(period: str, m: int) -> BalanceCheck:

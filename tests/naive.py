@@ -1,11 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here recomputes results by direct enumeration (slices, rotations,
-full searches) so test expectations never depend on the code paths they check.
+full searches), or for words too long to enumerate by NumPy prefix sums, so
+test expectations never depend on the code paths they check.
 """
 
 import itertools
 from math import gcd
+
+import numpy as np
 
 
 def windows(word, m):
@@ -20,6 +23,15 @@ def lightest_window(word, m):
     weights = windows(word, m)
     low = min(weights)
     return weights.index(low), low
+
+
+def lightest_window_by_prefix_sums(word, m):
+    """lightest_window for 1 <= m <= len(word), from prefix sums over two periods."""
+    n = len(word)
+    prefix = np.cumsum(np.frombuffer(("B" + word * 2).encode(), np.uint8) == ord("A"))
+    weights = prefix[m:m + n] - prefix[:n]
+    start = int(weights.argmin())
+    return start, int(weights[start])
 
 
 def admissible(word, s, t):

@@ -329,6 +329,29 @@ def test_check_witness_is_first_minimum_window(capsys):
                 assert code == 0 and witness == naive.lightest_window(word, s), (word, s)
 
 
+def test_check_witness_matches_prefix_sums_at_1e4(capsys):
+    # words the parity kernel refuses: random, and mechanical with a few
+    # letters A and B exchanged; the verdict both ways around the minimum
+    rng = random.Random(29)
+    n = 10**4
+    cases = []
+    for _ in range(3):
+        cases.append("".join(rng.choice("AB") for _ in range(n)))
+        word = list(words.mechanical_word(n, rng.randint(4, n - 4)))
+        spots = [[i for i, c in enumerate(word) if c == letter] for letter in "AB"]
+        swaps = rng.randint(1, 4)
+        for i, j in zip(rng.sample(spots[0], swaps), rng.sample(spots[1], swaps)):
+            word[i], word[j] = "B", "A"
+        cases.append("".join(word))
+    for word in cases:
+        for s in (rng.randint(1, n), rng.randint(1, n)):
+            start, weight = naive.lightest_window_by_prefix_sums(word, s)
+            for t in (weight, weight + 1):
+                code, record, _ = machine(capsys, "check", word, str(s), str(t))
+                assert code == (0 if t == weight else 2)
+                assert (record["witness_start"], record["witness_weight"]) == (start, weight)
+
+
 def test_check_verbose_profile_matches_machine(capsys):
     code, record, _ = machine(capsys, "check", "AAABBBBBBB", "6", "2", "--verbose")
     assert code == 2
@@ -565,14 +588,17 @@ def test_check_refuses_negative_quota_before_any_scan(capsys, monkeypatch):
     for module in (admissibility, cli):
         monkeypatch.setattr(module, "_window_weights", counting("scan", words._window_weights))
     monkeypatch.setattr(cli, "_two_valued", counting("kernel", admissibility._two_valued))
+    monkeypatch.setattr(cli, "_lightest_window", counting("lightest", words._lightest_window))
     rng = random.Random(27)
     word = "".join(rng.choice("AB") for _ in range(10**5))
     assert run(capsys, "check", word, "500", "-1") == (1, "", "error: t must be non-negative\n")
     assert calls == []
-    # the counters see both paths when t is valid
+    # the counters see both paths when t is valid: the mechanical word stops
+    # at the parity kernel, the random word goes on to the lightest-window
+    # kernel, and neither sums its windows without --verbose
     for word in (words.mechanical_word(10**5, 38197), word):
         assert run(capsys, "check", word, "500", "0")[0] == 0
-    assert calls == ["kernel", "kernel", "scan"]
+    assert calls == ["kernel", "kernel", "lightest"]
 
 
 def test_plan_profile_matches_enumeration(capsys):

@@ -1,13 +1,14 @@
 """Word primitives: parsing, mechanical words, balance."""
 
 import itertools
+import random
 from math import gcd
 
 import pytest
 
 import naive
 from mechwords import check_balance, mechanical_word, parse_word, to_bits
-from mechwords.words import _window_weights
+from mechwords.words import _lightest_window, _window_weights
 
 
 # mechanical-word periods frozen after recomputation from the prefix-count
@@ -124,3 +125,48 @@ def test_mechanical_words_are_balanced():
             word = mechanical_word(n, k)
             for m in range(1, 2 * n + 1):
                 assert check_balance(word, m)
+
+
+def test_lightest_window_matches_enumeration_on_every_small_word():
+    # one to three 4-step keys and every s; on ties the first start wins
+    for n in range(1, 13):
+        for word in naive.all_words(n):
+            for s in range(1, n + 1):
+                assert _lightest_window(word, s) == naive.lightest_window(word, s), (word, s)
+
+
+def test_lightest_window_at_every_residue_mod_64():
+    # n = 64q + r for every r, so every count of trailing steps and every
+    # parity of the block count at each merge is met; s at both ends and drawn
+    rng = random.Random(29)
+    for r in range(64):
+        for q in (0, 1, 2, 5):
+            n = 64 * q + r
+            if n == 0:
+                continue
+            word = "".join(rng.choice("AB") for _ in range(n))
+            for s in {1, n, rng.randint(1, n), rng.randint(1, n)}:
+                assert _lightest_window(word, s) == naive.lightest_window(word, s), (n, s)
+
+
+def test_lightest_window_on_runs_that_fill_the_lanes():
+    # A^a B^b, a single A, all A and all B: s spots apart a long run of B
+    # meets a run of A, so a 64-step block can step +1 (or -1) at every step,
+    # its sum reaching +64 (or -64) and its low -63, the ends of the lanes
+    sums = set()
+    for n in (64, 127, 128, 192, 256, 300, 513):
+        for a in (0, 1, n // 3, n // 2, n - 1, n):
+            word = "A" * a + "B" * (n - a)
+            for s in {1, 2, n // 3 or 1, n // 2 or 1, n - 1 or 1, n}:
+                weights = naive.windows(word, s)
+                assert _lightest_window(word, s) == naive.lightest_window(word, s), (n, a, s)
+                sums.update((weights + weights)[i + 64] - weights[i] for i in range(0, n, 64))
+    assert {-64, 64} <= sums
+
+
+def test_lightest_window_matches_prefix_sums_at_1e5():
+    rng = random.Random(30)
+    n = 10**5
+    word = "".join(rng.choice("AB") for _ in range(n))
+    for s in (1, 2, 63, 64, 65, rng.randint(1, n), n // 2, n - 1, n):
+        assert _lightest_window(word, s) == naive.lightest_window_by_prefix_sums(word, s), s

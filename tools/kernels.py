@@ -33,7 +33,7 @@ from mechwords import (  # noqa: E402
     AdmissibilityQuery, arrange, brute_force_exists, canonical_rotation, cli, criterion,
     mechanical_window, mechanical_word, smith_ladder, smith_quotients, verify_sweeps)
 from mechwords.admissibility import _two_valued  # noqa: E402
-from mechwords.words import _window_weights  # noqa: E402
+from mechwords.words import _lightest_window, _window_weights  # noqa: E402
 
 SEED = 6
 REPEATS = 15
@@ -75,10 +75,16 @@ def _canonical_rotation(n, rng):
     return {"k": k, "cut": cut}, lambda: canonical_rotation(word)
 
 
-def _window_weights_random(n, rng):
-    word = "".join(rng.choice("AB") for _ in range(n))
-    m = rng.randint(1, n)
-    return {"word": "random", "m": m}, lambda: _window_weights(word, m)
+def _random_word(kernel):
+    # a random word and a window length, drawn from the words._window_weights
+    # row's seed whichever row asks: at one size every kernel given this
+    # setup times the same input
+    def setup(n, rng):
+        rng = random.Random(f"{SEED} words._window_weights")
+        word = "".join(rng.choice("AB") for _ in range(n))
+        m = rng.randint(1, n)
+        return {"word": "random", "m": m}, lambda: kernel(word, m)
+    return setup
 
 
 def _excess(n, rng):
@@ -155,7 +161,9 @@ TABLE = [
     ("smith_ladder", 10**4, _smith_ladder),
     ("mechanical_window", 10**6, _mechanical_window),
     ("canonical_rotation", 10**6, _canonical_rotation),
-    ("words._window_weights", 10**5, _window_weights_random),
+    ("words._window_weights", 10**5, _random_word(_window_weights)),
+    ("words._lightest_window", 10**5, _random_word(_lightest_window)),
+    ("words._lightest_window", 10**3, _random_word(_lightest_window)),
     ("admissibility._two_valued", 10**6, _excess),
     ("admissibility._two_valued rotated", 10**5, _excess_rotated),
     ("admissibility._two_valued one swap", 10**5, _excess_one_swap),

@@ -53,6 +53,13 @@ BALANCE_TESTS = (
 PLAN_RECORD_TESTS = (
     "tests/test_cli.py::test_plan_machine_record_is_json_dumps_of_its_fields",)
 EXCESS_TESTS = ("tests/test_admissibility.py::test_two_valued_iff_profile_is_two_valued",)
+LIGHTEST_TESTS = (
+    "tests/test_words.py::test_lightest_window_matches_enumeration_on_every_small_word",
+    "tests/test_words.py::test_lightest_window_at_every_residue_mod_64",
+    "tests/test_words.py::test_lightest_window_on_runs_that_fill_the_lanes",
+    "tests/test_words.py::test_lightest_window_matches_prefix_sums_at_1e5",
+    "tests/test_cli.py::test_check_witness_is_first_minimum_window",
+)
 WEIGHTS_TESTS = ("tests/test_cli.py::test_weights_at_every_carry_shape",
                  "tests/test_cli.py::test_plan_profile_matches_enumeration")
 
@@ -178,10 +185,24 @@ CATALOGUE = [
     Mutant("check-witness-first-heavy-byte", "cli.py",
            "excess.find(0)", "excess.find(1)",
            ("tests/test_cli.py::test_check_witness_is_first_minimum_window",)),
-    Mutant("check-witness-last-minimum", "cli.py",
-           "start = profile.index(weight)",
-           "start = len(profile) - 1 - profile[::-1].index(weight)",
-           ("tests/test_cli.py::test_check_witness_is_first_minimum_window",)),
+    # the walk still finds the first lightest window of the block it enters,
+    # so only a tie between two 64-step blocks shows the last one taken
+    Mutant("check-witness-last-minimum", "words.py",
+           "block = tops.index(top)", "block = len(tops) - 1 - tops[::-1].index(top)",
+           LIGHTEST_TESTS),
+    Mutant("lightest-odd-count-padding-dropped", "words.py",
+           '        if len(sums) % 2:\n            sums += b"\\x40"\n'
+           '            lows += b"\\x40"\n', "", LIGHTEST_TESTS),
+    Mutant("lightest-low-without-block-sum", "words.py",
+           "v = sa + lb - (ones << 6)", "v = lb", LIGHTEST_TESTS),
+    Mutant("lightest-walk-one-block-late", "words.py",
+           "i, w = 64 * block, starts[block]", "i, w = 64 * block + 64, starts[block + 1]",
+           LIGHTEST_TESTS),
+    # a lane where la == v picks v instead of la under either rule, and the
+    # two are the same value: the merged low does not change
+    Mutant("lightest-lane-tie-flipped", "words.py",
+           "((la | ones << 7) - v)", "((la | ones << 7) - v - ones)", LIGHTEST_TESTS,
+           "equivalent"),
 ]
 
 
