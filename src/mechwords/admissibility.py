@@ -12,18 +12,20 @@ whose windows weigh that floor or one more as the floor plus one 0/1 byte per
 window: the parity prefix of the word XOR its rotation, computed on the word
 packed into one int and certified by one more big-int test, with no window
 summed. On every other word it says so: `check` then finds the lightest
-window with `words._lightest_window`, from 64-step block minima with no
-Python int per window. The list of all n weights is summed for
-`window_weight_profile`, for `is_admissible` and `discrepancy` (below about
-300 letters, the oracle's sizes, the list is the faster), and for
-`check --verbose`, which renders it.
+window with `words._lightest_window`, from 64-step block minima, and
+`check --verbose` takes the whole profile from `words._window_levels`, one
+or two level bytes a window above the lightest; neither makes a Python int
+per window. The list of all n weights is summed for `window_weight_profile`,
+for `is_admissible` and `discrepancy` (below about 300 letters, the oracle's
+sizes, the list is the faster), and for `check --verbose` on a profile that
+spans more levels than `words._window_levels` takes.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .words import (
-    A, _as_bits, _check_quota, _check_slope, _check_window, _window_weights, parse_word)
+    _check_quota, _check_slope, _check_window, _window_weights, parse_word)
 
 # digits of the packed excess word as the 0/1 bytes _two_valued returns
 _EXCESS = bytes.maketrans(b"01", b"\x00\x01")
@@ -104,21 +106,22 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
     return WindowReport(_first_hit(n - k, n, r, n - 1) if r else 0, m, k * m // n)
 
 
-def _two_valued(word: str, k: int, s: int) -> tuple[int, bytes] | None:
+def _two_valued(bits: str, k: int, s: int, head: int) -> tuple[int, bytes] | None:
     """window_weight_profile(word, s) as (low, excess) when it is two-valued.
 
-    For a non-empty word over {A, B} with k letters A and 1 <= s <= n; nothing
-    is validated. When every window weighs low = floor(k*s/n) or low + 1, as on
-    every mechanical_word, the result is low and n bytes of 0/1 with weight i
+    For a non-empty word as 0/1 digits (`_as_bits`) with k letters A, 1 <= s
+    <= n, and head the weight of its first window; nothing is validated.
+    When every window weighs low = floor(k*s/n) or low + 1, as on every
+    mechanical_word, the result is low and n bytes of 0/1 with weight i
     equal to low + excess[i]; on any other word it is None. (The s*k letters
     counted over all windows average k*s/n, so a profile whose weights differ
     by at most one takes only the values low and low + 1.)
 
     With x the word as 0/1, weight[i+1] - weight[i] = x[i+s] - x[i], so
     excess[i+1] = excess[i] ^ y[i] with y = x ^ (x rotated left by s): the
-    excesses are the exclusive prefix XOR of y seeded with word.count(A, 0, s)
-    - low. Packed as one int, spot 0 is the top bit, so the word is parsed
-    once and its rotation is two shifts under an n-bit mask; p ^= p >> shift
+    excesses are the exclusive prefix XOR of y seeded with head - low.
+    Packed as one int, spot 0 is the top bit, so the word is parsed once
+    and its rotation is two shifts under an n-bit mask; p ^= p >> shift
     with shift doubling folds every higher bit into each lower one (the
     inclusive prefix) in about log2(n) big-int steps, one more >> 1 makes it
     exclusive, and flipping all n bits applies a seed of 1.
@@ -134,13 +137,13 @@ def _two_valued(word: str, k: int, s: int) -> tuple[int, bytes] | None:
     a window can rise only from low and fall only from low + 1.
     Base-2 int() and format() have no digit limit, so any n is taken.
     """
-    n = len(word)
+    n = len(bits)
     low = k * s // n
-    seed = word.count(A, 0, s) - low
+    seed = head - low
     if seed not in (0, 1):
         return None
     mask = (1 << n) - 1
-    x = int(_as_bits(word), 2)
+    x = int(bits, 2)
     y = x ^ ((x << s | x >> n - s) & mask)
     p = y
     shift = 1

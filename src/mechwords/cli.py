@@ -19,7 +19,8 @@ from .admissibility import (
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
 from .words import (
-    _as_bits, _check_slope, _check_window, _lightest_window, _window_weights, mechanical_word)
+    _as_bits, _check_slope, _check_window, _lightest_window, _window_levels, _window_weights,
+    mechanical_word)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -58,22 +59,46 @@ def _rendered(word: str, args) -> str:
     return _as_bits(word) if args.alphabet == "01" else word
 
 
-def _weights(low: int, excess: bytes, sep: str) -> str:
-    # window i weighs low + excess[i], written as a fixed-width token: low
-    # left-padded with NUL to the width of low + 1. The tokens differ only in
-    # the columns a carry touches, and each such column is one strided write
-    # of the excess bytes mapped to the two tokens' digits there. The padding
-    # exists only when low + 1 is a power of ten, and a delete pass costs as
-    # much as all the writes, so only then is it deleted.
-    hi = f"{low + 1}{sep}".encode()
-    lo = f"{low}{sep}".encode().rjust(len(hi), b"\x00")
-    width = len(hi)
-    out = bytearray(lo) * len(excess)
-    for j in range(width):
-        if lo[j] != hi[j]:
-            out[j::width] = excess.translate(bytes.maketrans(b"\x00\x01", bytes((lo[j], hi[j]))))
-    del out[-len(sep):]
-    if not lo[0]:
+def _weights(low: int, top: int, levels: bytes, sep: str) -> str:
+    # window i weighs low + level i, with levels as words._window_levels
+    # gives them (one byte a window when top < 256, else a band of 256
+    # levels, then the level within it) and top at least the largest level;
+    # a 0/1 excess is the case top = 1. Each weight is written as a
+    # fixed-width token, left-padded with NUL to the width of low + top. The
+    # tokens differ only in some columns, and each such column is one
+    # strided write of the level bytes mapped through the column's table; a
+    # second band's column replaces the first's where its band byte is set,
+    # by one masked big-int merge a band. The padding exists only when low is
+    # shorter than low + top, and a delete pass costs as much as all the
+    # writes, so only then is it deleted.
+    tail = sep.encode()
+    width = len(str(low + top)) + len(tail)
+    digits = width - len(tail)
+    tokens = b"".join(str(v).encode().rjust(digits, b"\x00") + tail
+                      for v in range(low, low + top + 1))
+    if top < 256:
+        offsets, masks = levels, []
+    else:
+        bands, offsets = levels[0::2], levels[1::2]
+        masks = [(band, int.from_bytes(bands.translate(bytes(band) + b"\xff" + bytes(255 - band)),
+                                       "big"))
+                 for band in range(1, top // 256 + 1) if band in bands]
+    n = len(offsets)
+    out = bytearray(tokens[:width]) * n
+    for j in range(digits):
+        column = tokens[j::width]
+        if column.count(column[:1]) == len(column):
+            continue
+        written = offsets.translate(column[:256].ljust(256, b"\x00"))
+        if masks:
+            x = int.from_bytes(written, "big")
+            for band, mask in masks:
+                table = column[256 * band:256 * (band + 1)].ljust(256, b"\x00")
+                x ^= (x ^ int.from_bytes(offsets.translate(table), "big")) & mask
+            written = x.to_bytes(n, "big")
+        out[j::width] = written
+    del out[-len(tail):]
+    if not tokens[0]:
         out = out.translate(None, b"\x00")
     return out.decode()
 
@@ -95,8 +120,10 @@ def cmd_plan(args) -> int:
     _check_word_cap(query.n)
     # --canonical is a no-op: the mechanical word is its least rotation
     word = mechanical_word(query.n, query.k)
-    # the word is balanced, so each window weighs low + its 0/1 excess byte
-    profile = _two_valued(word, query.k, query.s)
+    bits = _as_bits(word)
+    # the word is balanced, so each window weighs low + its 0/1 excess byte;
+    # its first s letters hold ceil(k*s/n) letters A
+    profile = _two_valued(bits, query.k, query.s, -(-ks // query.n))
     if profile is None:
         raise RuntimeError(f"the length-{query.s} window profile of "
                            f"mechanical_word({query.n}, {query.k}) is not two-valued")
@@ -108,12 +135,12 @@ def cmd_plan(args) -> int:
         # json.dumps of the whole record, with the profile array spliced in as text
         head = json.dumps(record)[:-1]
         tail = json.dumps({"witness_start": witness.start, "witness_weight": witness.weight})[1:]
-        print(f'{head}, "profile": [{_weights(low, excess, ", ")}], {tail}')
+        print(f'{head}, "profile": [{_weights(low, 1, excess, ", ")}], {tail}')
         return EXIT_OK
     _emit(args, record, [
         f"ADMISSIBLE: nt = {nt} <= ks = {ks}",
         f"arrangement: {shown}",
-        f"window weights (s={query.s}): {_weights(low, excess, ' ')}",
+        f"window weights (s={query.s}): {_weights(low, 1, excess, ' ')}",
         f"min window: start {witness.start}, weight {witness.weight}",
     ])
     return EXIT_OK
@@ -165,14 +192,19 @@ def cmd_check(args) -> int:
     word, s, t = args.word, args.s, args.t
     _check_instance(word, s, t)
     k = word.count("A")
-    two_valued = _two_valued(word, k, s)
+    # the word as 0/1 digits and its first window's weight, for every kernel
+    bits, head = _as_bits(word), word.count("A", 0, s)
+    levels = None
+    two_valued = _two_valued(bits, k, s, head)
     if two_valued:
         # every window weighs low or low + 1, and they average k*s/n < low + 1,
         # so the first light window is the lightest
-        low, excess = two_valued
-        weight, start = low, excess.find(0)
+        weight, levels = two_valued
+        top, start = 1, levels.find(0)
+    elif args.verbose and (leveled := _window_levels(bits, s, head)):
+        weight, top, start, levels = leveled
     else:
-        start, weight = _lightest_window(word, s)
+        start, weight = _lightest_window(bits, s, head)
     admissible = weight >= t
     shown = _rendered(word, args)
     record = {"command": "check", "word": shown, "n": len(word), "k": k,
@@ -187,13 +219,13 @@ def cmd_check(args) -> int:
     machine = args.format == "machine"
     if args.verbose:
         sep = ", " if machine else " "
-        if two_valued:
-            weights = _weights(low, excess, sep)
+        if levels is not None:
+            weights = _weights(weight, top, levels, sep)
         else:
-            # the profile is summed only to be rendered; each of its at most
-            # s + 1 distinct weights is rendered once, then looked up
+            # past the levels kernel's span: the profile is summed only to be
+            # rendered, and each of its distinct weights is rendered once
             profile = _window_weights(word, s)
-            table = [str(v) for v in range(max(profile) + 1)]
+            table = {v: str(v) for v in range(weight, max(profile) + 1)}
             weights = sep.join(map(table.__getitem__, profile))
         lines.append(f"window weights (s={s}): {weights}")
     if args.verbose and machine:

@@ -6,6 +6,7 @@ how circular arrangements are read. Everything here is exact integer
 arithmetic; no floats appear anywhere in the library.
 """
 
+import struct
 from itertools import accumulate, product, repeat
 from operator import add, sub
 from typing import NamedTuple, Sequence
@@ -125,33 +126,71 @@ def _window_weights(word: str, m: int) -> list[int]:
     return list(accumulate(map(sub, bits[r:] + bits[:r], bits[:-1]), initial=first))
 
 
-def _block_tables() -> tuple[bytes, bytes]:
+def _block_tables() -> tuple[bytes, ...]:
     # a 4-step block keyed by the byte x0 r0 x1 r1 x2 r2 x3 r3 (spot by spot
     # from the top: the word's letter, then the letter s spots on, as 1/0),
-    # whose step j is r_j - x_j, so the pairs 00, 01, 10, 11 step 0, 1, -1, 0:
-    # its step sum and its lowest prefix (the least of the sums before each
-    # of its steps, 0 the first), each plus 64
-    sums, lows = bytearray(), bytearray()
+    # whose step j is r_j - x_j, so the pairs 00, 01, 10, 11 step 0, 1, -1, 0.
+    # Its prefix p_j is the sum of the steps before step j (p_0 = 0). Tables:
+    # the step sum and the lowest prefix, and the same two for the negated
+    # steps (minus the sum, minus the highest prefix), each plus 64; then
+    # p_j minus the lowest prefix, in 0..3, for each j
+    values = []
     for a, b, c, d in product((0, 1, -1, 0), repeat=4):
-        sums.append(a + b + c + d + 64)
-        lows.append(min(0, a, a + b, a + b + c) + 64)
-    return bytes(sums), bytes(lows)
+        p1, p2, p3 = a, a + b, a + b + c
+        low, high = min(0, p1, p2, p3), max(0, p1, p2, p3)
+        values += (p3 + d + 64, low + 64, 64 - p3 - d, 64 - high,
+                   -low, p1 - low, p2 - low, p3 - low)
+    return tuple(bytes(values[i::8]) for i in range(8))
 
 
-_SUM4, _LOW4 = _block_tables()
+_SUM4, _LOW4, _DROP4, _PEAK4, *_RISE4 = _block_tables()
+# largest level _window_levels gives. Each band of 256 levels past the first
+# costs the renderer one masked merge per column: at n = 10**5 the kernel and
+# the renderer take about 0.65 of the window list's time at 4 bands, as long
+# at 8 and longer at 12 (run words, best of 9, Python 3.11, shared host)
+_LEVEL_CAP = 4 * 256 - 1
 
 
-def _lightest_window(word: str, s: int) -> tuple[int, int]:
+def _step_keys(bits: str, s: int) -> tuple[bytearray, bytes]:
+    # the word's 0/1 digits interleaved with those of its rotation by s, as
+    # ASCII, with "00" pairs (steps of 0) up to a multiple of 4 steps; and the
+    # same parsed as one int, one byte per 4-step block
+    n = len(bits)
+    pad = -n % 4
+    digits = bytearray(b"0") * (2 * (n + pad))
+    digits[0:2 * n:2] = bits.encode()
+    digits[1:2 * n:2] = (bits[s:] + bits[:s]).encode()
+    return digits, int(digits, 2).to_bytes((n + pad) // 4, "big")
+
+
+def _merged(sums: bytes, lows: bytes) -> tuple[bytes, bytes]:
+    # blocks 2j and 2j + 1 as one block, on byte lanes holding values plus
+    # 64: sum = sa + sb and low = min(la, sa + lb), an odd count first evened
+    # by a zero-step block (lane bounds in _lightest_window's docstring)
+    if len(sums) % 2:
+        sums += b"\x40"
+        lows += b"\x40"
+    half = len(sums) // 2
+    ones = int.from_bytes(b"\x01" * half, "big")
+    sa, sb = int.from_bytes(sums[0::2], "big"), int.from_bytes(sums[1::2], "big")
+    la, lb = int.from_bytes(lows[0::2], "big"), int.from_bytes(lows[1::2], "big")
+    v = sa + lb - (ones << 6)
+    select = (((la | ones << 7) - v) >> 7 & ones) * 0xFF
+    return ((sa + sb - (ones << 6)).to_bytes(half, "big"),
+            (la ^ ((la ^ v) & select)).to_bytes(half, "big"))
+
+
+def _lightest_window(bits: str, s: int, head: int) -> tuple[int, int]:
     """(start, weight) of the first lightest circular window of s spots.
 
-    For a non-empty word over {A, B} and 1 <= s <= n; nothing is validated.
-    The result is the minimum of _window_weights(word, s) and its first
-    index, found with no Python int made per window.
+    For a non-empty word as 0/1 digits (`_as_bits`), 1 <= s <= n, and head
+    the weight of its first window; nothing is validated. The result is the
+    minimum of _window_weights(word, s) and its first index, found with no
+    Python int made per window.
 
     With x the word as 0/1, window i + 1 weighs d[i] = x[i+s] - x[i] more
     than window i, so weight[i] is weight[0] plus the sum of d[0..i-1]. The
-    word's digits and those of its rotation by s are interleaved and parsed
-    as one int, whose bytes key the steps 4 at a time; two 256-byte tables
+    bytes of `_step_keys` key the steps 4 at a time; two 256-byte tables
     give each 4-step block its step sum and its lowest prefix, both plus 64.
     Four merges pair blocks 2j and 2j + 1 into blocks of 8, 16, 32 and 64
     steps, with sum = sa + sb and low = min(la, sa + lb), each merge a few
@@ -175,27 +214,11 @@ def _lightest_window(word: str, s: int) -> tuple[int, int]:
     lane, borrows from none, and has its top bit set exactly when LA >= V;
     that bit, spread over its byte, selects V over LA.
     """
-    n = len(word)
-    bits = _as_bits(word)
-    pad = -n % 4
-    digits = bytearray(b"0") * (2 * (n + pad))
-    digits[0:2 * n:2] = bits.encode()
-    digits[1:2 * n:2] = (bits[s:] + bits[:s]).encode()
-    keys = int(digits, 2).to_bytes((n + pad) // 4, "big")
+    digits, keys = _step_keys(bits, s)
     sums, lows = keys.translate(_SUM4), keys.translate(_LOW4)
     for _ in range(4):
-        if len(sums) % 2:
-            sums += b"\x40"
-            lows += b"\x40"
-        half = len(sums) // 2
-        ones = int.from_bytes(b"\x01" * half, "big")
-        sa, sb = int.from_bytes(sums[0::2], "big"), int.from_bytes(sums[1::2], "big")
-        la, lb = int.from_bytes(lows[0::2], "big"), int.from_bytes(lows[1::2], "big")
-        v = sa + lb - (ones << 6)
-        select = (((la | ones << 7) - v) >> 7 & ones) * 0xFF
-        sums = (sa + sb - (ones << 6)).to_bytes(half, "big")
-        lows = (la ^ ((la ^ v) & select)).to_bytes(half, "big")
-    starts = list(accumulate(map(sub, sums, repeat(64)), initial=word.count(A, 0, s)))
+        sums, lows = _merged(sums, lows)
+    starts = list(accumulate(map(sub, sums, repeat(64)), initial=head))
     tops = list(map(add, starts, lows))
     top = min(tops)
     block = tops.index(top)
@@ -207,6 +230,89 @@ def _lightest_window(word: str, s: int) -> tuple[int, int]:
         w += digits[2 * i + 1] - digits[2 * i]
         i += 1
     return i, weight
+
+
+def _window_levels(bits: str, s: int, head: int) -> tuple[int, int, int, bytes] | None:
+    """(low, top, start, levels): the s-window profile as level bytes.
+
+    For a non-empty word as 0/1 digits, 1 <= s <= n and head the weight of
+    its first window; nothing is validated. Window i weighs low + level i:
+    low is min(_window_weights(word, s)), start its first index and top the
+    largest level. The levels are n lanes of one byte when top < 256 and of
+    two otherwise (big-endian: a band of 256 levels, then the level within
+    it). The result is None when top > _LEVEL_CAP. No Python int is made
+    per window.
+
+    The blocks of `_lightest_window` are merged up to 64 steps twice: for
+    each block's sum and lowest prefix, and for the same of the negated
+    steps (steps too, so within the same lane bounds), whose lowest prefix
+    is minus the highest. One accumulate over the
+    64-step sums gives each block's first weight, and so low, top and the
+    first block holding a window of weight low. Then the blocks are split
+    back down to 4 steps on 16-bit lanes of first weight minus low: block 2j
+    starts where its parent j does, and block 2j + 1 there plus the sum of
+    block 2j, kept from the way up. A 4-step block's lowest window is its
+    first weight plus its lowest prefix, and its window j lies p_j minus
+    that prefix (its rise, in 0..3) above it: so the levels are one lane
+    add, of each block's lowest window minus low, written to the lanes of
+    its 4 windows, and the rise of each window from one table per j.
+
+    Lane bounds. Every lane on the way down holds a first weight minus low,
+    in 0..top, plus a sum in -32..32 stored plus 64, so none reaches top +
+    96 < 2**16 and none carries; taking 64 off each leaves a first weight
+    minus low, so none borrows. A block's lowest window minus low and a
+    level are in 0..top too, below 256**w. The padding (see
+    `_lightest_window`) weighs what window 0 does, so low and top hold with
+    it, and its blocks and windows are dropped on the way down.
+
+    The first lightest window lies in the first 64-step block that holds a
+    window of weight low, where every level is below 64. So it is the first
+    lane of w zero bytes at or after that block: a match that starts at a
+    lane's second byte needs that lane's level, below 256, to be 0, and then
+    the lane itself matched first.
+    """
+    n = len(bits)
+    _, keys = _step_keys(bits, s)
+    sums, lows = keys.translate(_SUM4), keys.translate(_LOW4)
+    drops, peaks = keys.translate(_DROP4), keys.translate(_PEAK4)
+    halves = []
+    for _ in range(4):
+        halves.append(sums)
+        sums, lows = _merged(sums, lows)
+        drops, peaks = _merged(drops, peaks)
+    starts = list(accumulate(map(sub, sums[:-1], repeat(64)), initial=head))
+    lightest = list(map(add, starts, lows))
+    low = min(lightest) - 64
+    top = max(map(sub, starts, peaks)) + 64 - low
+    if top > _LEVEL_CAP:
+        return None
+    rel = struct.pack(f">{len(starts)}H", *map(sub, starts, repeat(low)))
+    for sums in reversed(halves):
+        parents = len(rel) // 2
+        evens = bytearray(2 * parents)
+        evens[1::2] = sums[0::2]
+        odds = (int.from_bytes(rel, "big") + int.from_bytes(evens, "big")
+                - int.from_bytes(b"\x00\x40" * parents, "big")).to_bytes(2 * parents, "big")
+        children = bytearray(4 * parents)
+        children[0::4], children[1::4] = rel[0::2], rel[1::2]
+        children[2::4], children[3::4] = odds[0::2], odds[1::2]
+        rel = children[:2 * len(sums)]
+    blocks = len(keys)
+    floors = bytearray(2 * blocks)
+    floors[1::2] = keys.translate(_LOW4)
+    bases = (int.from_bytes(rel, "big") + int.from_bytes(floors, "big")
+             - int.from_bytes(b"\x00\x40" * blocks, "big")).to_bytes(2 * blocks, "big")
+    w = 1 if top < 256 else 2
+    wide, rises = bytearray(4 * w * blocks), bytearray(4 * w * blocks)
+    for j, table in enumerate(_RISE4):
+        # the last byte of window j's lane, then the one before it
+        for h in range(w):
+            wide[w * (j + 1) - 1 - h::4 * w] = bases[1 - h::2]
+        rises[w * (j + 1) - 1::4 * w] = keys.translate(table)
+    levels = (int.from_bytes(wide, "big")
+              + int.from_bytes(rises, "big")).to_bytes(len(wide), "big")
+    start = levels.find(bytes(w), 64 * w * lightest.index(low + 64)) // w
+    return low, top, start, levels[:w * n]
 
 
 def check_balance(period: str, m: int) -> BalanceCheck:

@@ -25,11 +25,16 @@ def lightest_window(word, m):
     return weights.index(low), low
 
 
-def lightest_window_by_prefix_sums(word, m):
-    """lightest_window for 1 <= m <= len(word), from prefix sums over two periods."""
+def windows_by_prefix_sums(word, m):
+    """windows for 1 <= m <= len(word), as a NumPy array, from prefix sums over two periods."""
     n = len(word)
     prefix = np.cumsum(np.frombuffer(("B" + word * 2).encode(), np.uint8) == ord("A"))
-    weights = prefix[m:m + n] - prefix[:n]
+    return prefix[m:m + n] - prefix[:n]
+
+
+def lightest_window_by_prefix_sums(word, m):
+    """lightest_window for 1 <= m <= len(word), from prefix sums over two periods."""
+    weights = windows_by_prefix_sums(word, m)
     start = int(weights.argmin())
     return start, int(weights[start])
 

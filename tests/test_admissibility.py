@@ -62,9 +62,14 @@ def test_empty_word_is_rejected_before_the_window():
         window_weight_profile("ABX", 0)
 
 
+def two_valued(word, s):
+    # _two_valued on a word over {A, B}, given its digits and first window
+    return _two_valued(_as_bits(word), word.count("A"), s, word.count("A", 0, s))
+
+
 def check_two_valued(word, s, weights):
     # _two_valued gives the profile exactly when its weights differ by at most one
-    result = _two_valued(word, word.count("A"), s)
+    result = two_valued(word, s)
     if max(weights) - min(weights) > 1:
         assert result is None, (word, s)
         return False
@@ -107,12 +112,13 @@ def test_two_valued_on_one_swap_words():
 def test_two_valued_seed_test_rejects_before_parsing(monkeypatch):
     # a first window out of low..low + 1 is refused without packing the word
     parsed = []
-    monkeypatch.setattr(admissibility, "_as_bits", lambda word: parsed.append(word) or _as_bits(word))
-    assert _two_valued("AABBBBBB", 2, 2) is None and parsed == []
-    assert _two_valued("BBAAAAAA", 6, 2) is None and parsed == []
+    monkeypatch.setattr(admissibility, "int", lambda digits, base: parsed.append(digits)
+                        or int(digits, base), raising=False)
+    assert two_valued("AABBBBBB", 2) is None and parsed == []
+    assert two_valued("BBAAAAAA", 2) is None and parsed == []
     word = mechanical_word(8, 3)
-    low, excess = _two_valued(word, 3, 4)
-    assert [low + e for e in excess] == naive.windows(word, 4) and parsed == [word]
+    low, excess = two_valued(word, 4)
+    assert [low + e for e in excess] == naive.windows(word, 4) and parsed == [_as_bits(word)]
 
 
 def ceiling_weights(n, k, m, starts):
@@ -129,7 +135,7 @@ def test_two_valued_matches_ceiling_formula_at_large_n():
         k, s = rng.randint(1, n), rng.randint(1, n)
         r = rng.randrange(n) if index % 2 else 0
         word = mechanical_word(n, k)
-        low, excess = _two_valued(word[r:] + word[:r], k, s)
+        low, excess = two_valued(word[r:] + word[:r], s)
         assert [low + e for e in excess] == ceiling_weights(n, k, s, range(r, r + n)), (
             n, k, s, r)
 

@@ -390,6 +390,63 @@ def test_check_machine_record_is_json_dumps_of_its_fields(capsys):
             "profile": weights}) + "\n", argv
 
 
+def test_check_verbose_on_every_small_word(capsys):
+    # every word with n <= 10 and every s, against profiles summed by
+    # slicing; the requests take text and machine format and both alphabets
+    # in turn, so each word with n >= 4 meets all four
+    flags = itertools.cycle(itertools.product(("text", "machine"), ("AB", "01")))
+    for n in range(1, 11):
+        for word in naive.all_words(n):
+            for s in range(1, n + 1):
+                weights = naive.windows(word, s)
+                start, weight = naive.lightest_window(word, s)
+                t = weight + s % 2
+                fmt, alphabet = next(flags)
+                argv = ["check", word, str(s), str(t), "--verbose",
+                        "--format", fmt, "--alphabet", alphabet]
+                code, out, _ = run(capsys, *argv)
+                assert code == (0 if weight >= t else 2)
+                if fmt == "text":
+                    assert out.splitlines()[1:] == [
+                        f"min window: start {start}, weight {weight}",
+                        f"window weights (s={s}): {' '.join(map(str, weights))}"], argv
+                    continue
+                shown = word if alphabet == "AB" else word.replace("A", "1").replace("B", "0")
+                assert out == json.dumps({
+                    "command": "check", "word": shown, "n": n, "k": word.count("A"),
+                    "s": s, "t": t, "verdict": "admissible" if weight >= t else "not-admissible",
+                    "witness_start": start, "witness_weight": weight,
+                    "profile": weights}) + "\n", argv
+
+
+def test_check_verbose_wide_profiles_match_prefix_sums(capsys, monkeypatch):
+    # profiles of one to four bands of 256 levels and past them: runs
+    # A^a B^a at s = a, whose windows weigh 0 to a, with a random tail so the
+    # lightest window does not start at a block, and random words at about
+    # 10**5; only the runs past the levels kernel's cap sum the window list
+    summed = []
+    monkeypatch.setattr(cli, "_window_weights",
+                        lambda word, s: summed.append(s) or words._window_weights(word, s))
+    rng = random.Random(31)
+    cases = []
+    for span in (255, 256, 511, 512, 1023, 1024, 1500):
+        tail = "".join(rng.choice("AB") for _ in range(rng.randint(1, 9)))
+        cases.append(("A" * span + "B" * span + tail, span))
+    for n in (10**5, 10**5 - 3):
+        cases.append(("".join(rng.choice("AB") for _ in range(n)), n // 2 + rng.randint(0, 9)))
+    for word, s in cases:
+        weights = naive.windows_by_prefix_sums(word, s)
+        start, weight = int(weights.argmin()), int(weights.min())
+        code, out, _ = run(capsys, "check", word, str(s), str(weight), "--verbose")
+        assert code == 0 and out.splitlines()[1:] == [
+            f"min window: start {start}, weight {weight}",
+            f"window weights (s={s}): {' '.join(map(str, weights.tolist()))}"], (len(word), s)
+        code, record, _ = machine(capsys, "check", word, str(s), str(weight + 1), "--verbose")
+        assert code == 2 and record["profile"] == weights.tolist(), (len(word), s)
+        assert (record["witness_start"], record["witness_weight"]) == (start, weight)
+    assert summed == [1024, 1024, 1500, 1500]
+
+
 def test_check_verbose_profile_spans_zero_to_s(capsys):
     # a run of s letters B and a run of s letters A: the weights reach both
     # ends of 0..s, the first and the last value the line renders
@@ -560,16 +617,22 @@ def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
     code, record, _ = machine(capsys, "check", "ABABABB", "5", "2", "--verbose")
     assert code == 0 and record["profile"] == naive.windows("ABABABB", 5)
     assert calls == []
-    # weights 0 to 3: the kernel refuses the word, and check scans it once
+    # weights 0 to 3: the parity kernel refuses the word, and check renders
+    # it from the levels kernel, again with no window summed
     code, record, _ = machine(capsys, "check", "AAABBBBBBB", "6", "2", "--verbose")
     assert code == 2 and record["profile"] == naive.windows("AAABBBBBBB", 6)
-    assert calls == [6]
+    assert calls == []
+    # weights 0 to 1024, past the levels kernel: check scans the word once
+    word = "A" * 1024 + "B" * 1024
+    code, record, _ = machine(capsys, "check", word, "1024", "0", "--verbose")
+    assert code == 0 and record["profile"] == naive.windows(word, 1024)
+    assert calls == [1024]
 
 
 def test_plan_stops_on_a_profile_the_kernel_refuses(capsys, monkeypatch):
     # a mechanical word whose profile the kernel did not certify is a fault of
     # the program, not of the input: it raises rather than exiting 1
-    monkeypatch.setattr(cli, "_two_valued", lambda word, k, s: None)
+    monkeypatch.setattr(cli, "_two_valued", lambda bits, k, s, head: None)
     message = r"^the length-3 window profile of mechanical_word\(10, 4\) is not two-valued$"
     with pytest.raises(RuntimeError, match=message):
         main(["plan", "10", "4", "3", "1"])
@@ -629,8 +692,28 @@ def test_weights_at_every_carry_shape():
         for sep in (" ", ", "):
             for excess in (b"\x00", b"\x01", bytes(40), b"\x01" * 40,
                            bytes(rng.getrandbits(1) for _ in range(rng.randint(2, 300)))):
-                assert cli._weights(low, excess, sep) == sep.join(
+                assert cli._weights(low, 1, excess, sep) == sep.join(
                     str(low + e) for e in excess), (low, sep, excess)
+
+
+def test_weights_on_many_levels():
+    # level bytes of one band (top < 256) and of two to four (two bytes a
+    # window, band first), each level from 0 to top present, top at and
+    # around each band edge; low where the tokens gain a digit inside the
+    # profile (9, 99, 999, 9999) and where they do not (0, 5, 1000, 31415)
+    rng = random.Random(30)
+    for top in (2, 9, 10, 100, 254, 255, 256, 257, 300, 511, 512, 513, 767, 768, 1000, 1023):
+        for low in (0, 5, 9, 99, 999, 1000, 9999, 31415):
+            levels = list(range(top + 1))
+            levels += [rng.randint(0, top) for _ in range(rng.randint(0, 600))]
+            rng.shuffle(levels)
+            if top < 256:
+                packed = bytes(levels)
+            else:
+                packed = b"".join(level.to_bytes(2, "big") for level in levels)
+            for sep in (" ", ", "):
+                assert cli._weights(low, top, packed, sep) == sep.join(
+                    str(low + level) for level in levels), (top, low, sep)
 
 
 def test_plan_machine_record_is_json_dumps_of_its_fields(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import naive
 from mechwords import check_balance, mechanical_word, parse_word, to_bits
-from mechwords.words import _lightest_window, _window_weights
+from mechwords.words import _as_bits, _lightest_window, _window_levels, _window_weights
 
 
 # mechanical-word periods frozen after recomputation from the prefix-count
@@ -127,12 +127,17 @@ def test_mechanical_words_are_balanced():
                 assert check_balance(word, m)
 
 
+def lightest_window(word, s):
+    # the kernel on a word over {A, B}, given its digits and first window
+    return _lightest_window(_as_bits(word), s, word.count("A", 0, s))
+
+
 def test_lightest_window_matches_enumeration_on_every_small_word():
     # one to three 4-step keys and every s; on ties the first start wins
     for n in range(1, 13):
         for word in naive.all_words(n):
             for s in range(1, n + 1):
-                assert _lightest_window(word, s) == naive.lightest_window(word, s), (word, s)
+                assert lightest_window(word, s) == naive.lightest_window(word, s), (word, s)
 
 
 def test_lightest_window_at_every_residue_mod_64():
@@ -146,7 +151,7 @@ def test_lightest_window_at_every_residue_mod_64():
                 continue
             word = "".join(rng.choice("AB") for _ in range(n))
             for s in {1, n, rng.randint(1, n), rng.randint(1, n)}:
-                assert _lightest_window(word, s) == naive.lightest_window(word, s), (n, s)
+                assert lightest_window(word, s) == naive.lightest_window(word, s), (n, s)
 
 
 def test_lightest_window_on_runs_that_fill_the_lanes():
@@ -159,7 +164,7 @@ def test_lightest_window_on_runs_that_fill_the_lanes():
             word = "A" * a + "B" * (n - a)
             for s in {1, 2, n // 3 or 1, n // 2 or 1, n - 1 or 1, n}:
                 weights = naive.windows(word, s)
-                assert _lightest_window(word, s) == naive.lightest_window(word, s), (n, a, s)
+                assert lightest_window(word, s) == naive.lightest_window(word, s), (n, a, s)
                 sums.update((weights + weights)[i + 64] - weights[i] for i in range(0, n, 64))
     assert {-64, 64} <= sums
 
@@ -169,4 +174,74 @@ def test_lightest_window_matches_prefix_sums_at_1e5():
     n = 10**5
     word = "".join(rng.choice("AB") for _ in range(n))
     for s in (1, 2, 63, 64, 65, rng.randint(1, n), n // 2, n - 1, n):
-        assert _lightest_window(word, s) == naive.lightest_window_by_prefix_sums(word, s), s
+        assert lightest_window(word, s) == naive.lightest_window_by_prefix_sums(word, s), s
+
+
+def window_levels(word, s):
+    # the kernel on a word over {A, B}, its levels read as ints; None past
+    # its cap
+    result = _window_levels(_as_bits(word), s, word.count("A", 0, s))
+    if result is None:
+        return None
+    low, top, start, levels = result
+    if top >= 256:
+        levels = [256 * band + level for band, level in zip(levels[0::2], levels[1::2])]
+    return low, top, start, list(levels)
+
+
+def check_levels(word, s, weights):
+    low = min(weights)
+    assert window_levels(word, s) == (
+        low, max(weights) - low, weights.index(low), [w - low for w in weights]), (word, s)
+
+
+def test_window_levels_match_enumeration_on_every_small_word():
+    # one to three 4-step blocks, every residue of n mod 4, and every s
+    for n in range(1, 11):
+        for word in naive.all_words(n):
+            for s in range(1, n + 1):
+                check_levels(word, s, naive.windows(word, s))
+
+
+def test_window_levels_at_every_residue_mod_64():
+    # every count of trailing steps and every parity of the block count at
+    # each merge, so every split on the way down drops its padding
+    rng = random.Random(30)
+    for r in range(64):
+        for q in (1, 2, 5):
+            n = 64 * q + r
+            word = "".join(rng.choice("AB") for _ in range(n))
+            for s in {1, n, rng.randint(1, n)}:
+                check_levels(word, s, naive.windows(word, s))
+
+
+def test_window_levels_at_the_band_edges():
+    # A^a B^b with s = a <= b spans exactly a levels: one band to 255, two
+    # from 256, and the cap at 4 bands; the same with its first letter moved
+    # to the end, which starts the lightest window inside a block, and with
+    # a random tail
+    rng = random.Random(31)
+    for span in (255, 256, 257, 511, 512, 513, 767, 768, 769, 1022, 1023):
+        for b in (span, span + 3):
+            base = "A" * span + "B" * b
+            tail = "".join(rng.choice("AB") for _ in range(rng.randint(1, 7)))
+            for word in (base, base[1:] + base[0], base + tail):
+                weights = naive.windows_by_prefix_sums(word, span).tolist()
+                check_levels(word, span, weights)
+                assert window_levels(word, span)[1] == max(weights) - min(weights) >= span - 1
+    for span in (1024, 1025, 2000):
+        assert window_levels("A" * span + "B" * span, span) is None
+
+
+def test_window_levels_match_prefix_sums_at_1e5():
+    # random words at about 10**5, n mod 4 in 0..3: spans of about 100 to a
+    # few hundred levels, one band or two
+    rng = random.Random(32)
+    for n in (10**5, 10**5 + 1, 10**5 + 2, 10**5 - 1):
+        word = "".join(rng.choice("AB") for _ in range(n))
+        for s in (rng.randint(1, n), n // 2):
+            weights = naive.windows_by_prefix_sums(word, s)
+            low = int(weights.min())
+            result = window_levels(word, s)
+            assert result[:3] == (low, int(weights.max()) - low, int(weights.argmin())), (n, s)
+            assert result[3] == (weights - low).tolist(), (n, s)

@@ -33,7 +33,8 @@ from mechwords import (  # noqa: E402
     AdmissibilityQuery, arrange, brute_force_exists, canonical_rotation, cli, criterion,
     mechanical_window, mechanical_word, smith_ladder, smith_quotients, verify_sweeps)
 from mechwords.admissibility import _two_valued  # noqa: E402
-from mechwords.words import _lightest_window, _window_weights  # noqa: E402
+from mechwords.words import (  # noqa: E402
+    _as_bits, _lightest_window, _window_levels, _window_weights)
 
 SEED = 6
 REPEATS = 15
@@ -75,22 +76,65 @@ def _canonical_rotation(n, rng):
     return {"k": k, "cut": cut}, lambda: canonical_rotation(word)
 
 
-def _random_word(kernel):
+def _seeded_word(n):
     # a random word and a window length, drawn from the words._window_weights
-    # row's seed whichever row asks: at one size every kernel given this
-    # setup times the same input
-    def setup(n, rng):
-        rng = random.Random(f"{SEED} words._window_weights")
-        word = "".join(rng.choice("AB") for _ in range(n))
-        m = rng.randint(1, n)
-        return {"word": "random", "m": m}, lambda: kernel(word, m)
-    return setup
+    # row's seed whichever row asks: at one size every row built on it times
+    # the same input
+    rng = random.Random(f"{SEED} words._window_weights")
+    word = "".join(rng.choice("AB") for _ in range(n))
+    return word, rng.randint(1, n)
+
+
+def _window_weights_row(n, rng):
+    word, m = _seeded_word(n)
+    return {"word": "random", "m": m}, lambda: _window_weights(word, m)
+
+
+def _lightest_window_row(n, rng):
+    # the kernel takes the word's digits and first window's weight, which
+    # check computes once for all its kernels
+    word, m = _seeded_word(n)
+    bits, head = _as_bits(word), word.count("A", 0, m)
+    return {"word": "random", "m": m}, lambda: _lightest_window(bits, m, head)
+
+
+def _levels_and_weights(word, s):
+    # check --verbose on a word the parity kernel refuses: the levels
+    # kernel, then the text line's renderer
+    bits, head = _as_bits(word), word.count("A", 0, s)
+
+    def call():
+        low, top, _, levels = _window_levels(bits, s, head)
+        return cli._weights(low, top, levels, " ")
+    return _window_levels(bits, s, head)[1], call
+
+
+def _levels_row(n, rng):
+    word, m = _seeded_word(n)
+    top, call = _levels_and_weights(word, m)
+    return {"word": "random", "m": m, "top": top}, call
+
+
+def _levels_two_bands_row(n, rng):
+    # the seeded word behind a run of 300 letters A and 300 B, at m = 300:
+    # its windows weigh 0 to 300, two bands of 256 levels
+    word, _ = _seeded_word(n)
+    m = min(300, n // 2)
+    top, call = _levels_and_weights(("A" * m + "B" * m + word)[:n], m)
+    return {"word": "run + random", "m": m, "top": top}, call
+
+
+def _two_valued_call(word, k, s):
+    # the kernel takes the word's digits and first window's weight, which
+    # check computes once for all its kernels
+    bits, head = _as_bits(word), word.count("A", 0, s)
+    return lambda: _two_valued(bits, k, s, head)
 
 
 def _excess(n, rng):
     k, s = _slope(n, rng), rng.randint(1, n)
     word = mechanical_word(n, k)
-    return {"k": k, "s": s}, lambda: _two_valued(word, k, s)
+    return {"k": k, "s": s}, _two_valued_call(word, k, s)
 
 
 def _excess_rotated(n, rng):
@@ -99,7 +143,7 @@ def _excess_rotated(n, rng):
     k, s, cut = _slope(n, rng), rng.randint(1, n), rng.randrange(n)
     word = mechanical_word(n, k)
     word = word[cut:] + word[:cut]
-    return {"k": k, "s": s, "cut": cut}, lambda: _two_valued(word, k, s)
+    return {"k": k, "s": s, "cut": cut}, _two_valued_call(word, k, s)
 
 
 def _excess_one_swap(n, rng):
@@ -118,17 +162,17 @@ def _excess_one_swap(n, rng):
             weights = _window_weights(word, s)
             if max(weights) - min(weights) > 1:
                 break
-    return {"k": k, "s": s, "swap": [i, j]}, lambda: _two_valued(word, k, s)
+    return {"k": k, "s": s, "swap": [i, j]}, _two_valued_call(word, k, s)
 
 
 def _weights(sep, low=None):
     # low fixed at 999 takes the padding delete that low + 1 = 10**j needs
     def setup(n, rng):
         k, s = _slope(n, rng), rng.randint(1, n)
-        drawn, excess = _two_valued(mechanical_word(n, k), k, s)
+        drawn, excess = _two_valued_call(mechanical_word(n, k), k, s)()
         shown = drawn if low is None else low
         return ({"k": k, "s": s, "low": shown, "sep": sep},
-                lambda: cli._weights(shown, excess, sep))
+                lambda: cli._weights(shown, 1, excess, sep))
     return setup
 
 
@@ -161,9 +205,11 @@ TABLE = [
     ("smith_ladder", 10**4, _smith_ladder),
     ("mechanical_window", 10**6, _mechanical_window),
     ("canonical_rotation", 10**6, _canonical_rotation),
-    ("words._window_weights", 10**5, _random_word(_window_weights)),
-    ("words._lightest_window", 10**5, _random_word(_lightest_window)),
-    ("words._lightest_window", 10**3, _random_word(_lightest_window)),
+    ("words._window_weights", 10**5, _window_weights_row),
+    ("words._lightest_window", 10**5, _lightest_window_row),
+    ("words._lightest_window", 10**3, _lightest_window_row),
+    ("words._window_levels + cli._weights", 10**5, _levels_row),
+    ("words._window_levels + cli._weights two bands", 10**5, _levels_two_bands_row),
     ("admissibility._two_valued", 10**6, _excess),
     ("admissibility._two_valued rotated", 10**5, _excess_rotated),
     ("admissibility._two_valued one swap", 10**5, _excess_one_swap),

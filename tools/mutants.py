@@ -61,7 +61,15 @@ LIGHTEST_TESTS = (
     "tests/test_cli.py::test_check_witness_is_first_minimum_window",
 )
 WEIGHTS_TESTS = ("tests/test_cli.py::test_weights_at_every_carry_shape",
+                 "tests/test_cli.py::test_weights_on_many_levels",
                  "tests/test_cli.py::test_plan_profile_matches_enumeration")
+LEVELS_TESTS = (
+    "tests/test_words.py::test_window_levels_match_enumeration_on_every_small_word",
+    "tests/test_words.py::test_window_levels_at_every_residue_mod_64",
+    "tests/test_words.py::test_window_levels_at_the_band_edges",
+    "tests/test_words.py::test_window_levels_match_prefix_sums_at_1e5",
+    "tests/test_cli.py::test_check_verbose_wide_profiles_match_prefix_sums",
+)
 
 CATALOGUE = [
     Mutant("rotation-comparison-flipped", "constructions.py",
@@ -101,24 +109,30 @@ CATALOGUE = [
            "    _check_quota(t)\n    return min(window_weight_profile(word, s)) >= t\n",
            ("tests/test_domain.py::test_bad_check_refused_alike_in_library_and_cli",)),
     Mutant("weights-trailing-separator-kept", "cli.py",
-           "    del out[-len(sep):]\n", "",
+           "    del out[-len(tail):]\n", "",
            ("tests/test_cli.py::test_plan_rejects_bad_bounds", *WEIGHTS_TESTS)),
     Mutant("plan-machine-separator-without-space", "cli.py",
-           '_weights(low, excess, ", ")', '_weights(low, excess, ",")', PLAN_RECORD_TESTS),
+           '_weights(low, 1, excess, ", ")', '_weights(low, 1, excess, ",")', PLAN_RECORD_TESTS),
     Mutant("plan-machine-closing-bracket-dropped", "cli.py",
            '", ")}], {tail}', '", ")}, {tail}', PLAN_RECORD_TESTS),
-    Mutant("weights-tokens-swapped", "cli.py",
-           "bytes((lo[j], hi[j]))", "bytes((hi[j], lo[j]))",
+    Mutant("weights-column-table-one-token-late", "cli.py",
+           "offsets.translate(column[:256]", "offsets.translate(column[1:257]",
            (*PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
     Mutant("weights-padding-kept", "cli.py",
-           "    if not lo[0]:\n", "    if False:\n", WEIGHTS_TESTS),
+           "    if not tokens[0]:\n", "    if False:\n", WEIGHTS_TESTS),
+    # the mask of band b set where the band byte is b - 1
+    Mutant("weights-wrong-band-select", "cli.py",
+           'bytes(band) + b"\\xff" + bytes(255 - band)',
+           'bytes(band - 1) + b"\\xff" + bytes(256 - band)',
+           (*WEIGHTS_TESTS, *LEVELS_TESTS)),
     # the text line's separator is one character, so only the machine
     # record keeps a trailing comma
     Mutant("weights-delete-one-character", "cli.py",
-           "del out[-len(sep):]", "del out[-1:]", (*PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
+           "del out[-len(tail):]", "del out[-1:]", (*PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
+    # only a profile past the levels kernel's cap renders through the table
     Mutant("check-table-one-short", "cli.py",
-           "range(max(profile) + 1)", "range(max(profile))",
-           ("tests/test_cli.py::test_check_verbose_profile_spans_zero_to_s",)),
+           "range(weight, max(profile) + 1)", "range(weight, max(profile))",
+           ("tests/test_cli.py::test_check_verbose_wide_profiles_match_prefix_sums",)),
     Mutant("generate-canonical-condition-and", "cli.py",
            'if args.method == "mechanical" or args.canonical:',
            'if args.method == "mechanical" and args.canonical:',
@@ -183,7 +197,7 @@ CATALOGUE = [
            "list(accumulate(closed, initial=0)) == [c + 1 for c in ceilings]",
            ("tests/test_cli.py::test_verify_small",)),
     Mutant("check-witness-first-heavy-byte", "cli.py",
-           "excess.find(0)", "excess.find(1)",
+           "levels.find(0)", "levels.find(1)",
            ("tests/test_cli.py::test_check_witness_is_first_minimum_window",)),
     # the walk still finds the first lightest window of the block it enters,
     # so only a tie between two 64-step blocks shows the last one taken
@@ -191,8 +205,8 @@ CATALOGUE = [
            "block = tops.index(top)", "block = len(tops) - 1 - tops[::-1].index(top)",
            LIGHTEST_TESTS),
     Mutant("lightest-odd-count-padding-dropped", "words.py",
-           '        if len(sums) % 2:\n            sums += b"\\x40"\n'
-           '            lows += b"\\x40"\n', "", LIGHTEST_TESTS),
+           '    if len(sums) % 2:\n        sums += b"\\x40"\n'
+           '        lows += b"\\x40"\n', "", (*LIGHTEST_TESTS, *LEVELS_TESTS)),
     Mutant("lightest-low-without-block-sum", "words.py",
            "v = sa + lb - (ones << 6)", "v = lb", LIGHTEST_TESTS),
     Mutant("lightest-walk-one-block-late", "words.py",
@@ -203,6 +217,21 @@ CATALOGUE = [
     Mutant("lightest-lane-tie-flipped", "words.py",
            "((la | ones << 7) - v)", "((la | ones << 7) - v - ones)", LIGHTEST_TESTS,
            "equivalent"),
+    Mutant("levels-rise-table-off-by-one", "words.py",
+           "-low, p1 - low, p2 - low, p3 - low)",
+           "1 - low, p1 - low + 1, p2 - low + 1, p3 - low + 1)", LEVELS_TESTS),
+    Mutant("levels-odd-block-after-odd-sum", "words.py",
+           "evens[1::2] = sums[0::2]", "evens[1::2] = sums[1::2]", LEVELS_TESTS),
+    Mutant("levels-top-from-lows", "words.py",
+           "top = max(map(sub, starts, peaks)) + 64 - low",
+           "top = max(map(add, starts, lows)) - 64 - low", LEVELS_TESTS),
+    # with one byte a window the first zero byte is the first lightest window
+    # wherever the search starts; with two, a zero level byte followed by a
+    # zero band byte matches between two lanes, as after a window at level
+    # 256 and one at 255
+    Mutant("levels-start-searched-from-window-0", "words.py",
+           "levels.find(bytes(w), 64 * w * lightest.index(low + 64))", "levels.find(bytes(w))",
+           LEVELS_TESTS),
 ]
 
 
