@@ -54,11 +54,6 @@ def _emit(args, record: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _rendered(word: str, args) -> str:
-    # every word rendered here was validated or built by the library
-    return _as_bits(word) if args.alphabet == "01" else word
-
-
 def _weights(low: int, top: int, levels: bytes, sep: str) -> str:
     # window i weighs low + level i, with levels as words._window_levels
     # gives them (one byte a window when top < 256, else a band of 256
@@ -129,7 +124,7 @@ def cmd_plan(args) -> int:
                            f"mechanical_word({query.n}, {query.k}) is not two-valued")
     low, excess = profile
     witness = mechanical_window(query.n, query.k, query.s)
-    shown = _rendered(word, args)
+    shown = bits if args.alphabet == "01" else word
     record.update(verdict="admissible", word=shown)
     if args.format == "machine":
         # json.dumps of the whole record, with the profile array spliced in as text
@@ -155,7 +150,7 @@ def cmd_generate(args) -> int:
     # --canonical prints mechanical_word, so no method builds its own word then
     if args.method == "euclid":
         if not args.canonical:
-            word = arrange(n, k)
+            word = arrange(n, k, alphabet=args.alphabet)
         if args.verbose:
             quotients, remainders = euclid_trace(n, k)
             r = [n, k] + remainders
@@ -172,18 +167,17 @@ def cmd_generate(args) -> int:
     elif args.method == "smith":
         quotients = smith_quotients(n, k)
         if args.verbose or not args.canonical:
-            ladder = smith_ladder(quotients)
+            ladder = smith_ladder(quotients, alphabet=args.alphabet)
             word = ladder[-1]
         if args.verbose:
-            shown_ladder = [_rendered(w, args) for w in ladder]
-            record.update(quotients=quotients, ladder=shown_ladder)
-            lines += [f"S_{idx} = {w}" for idx, w in enumerate(shown_ladder, 1)]
+            record.update(quotients=quotients, ladder=ladder)
+            lines += [f"S_{idx} = {w}" for idx, w in enumerate(ladder, 1)]
     if args.method == "mechanical" or args.canonical:
-        # every method builds a rotation of the mechanical word, the least one
-        word = mechanical_word(n, k)
-    shown = _rendered(word, args)
-    record.update(word=shown)
-    lines.append(shown)
+        # every method builds a rotation of the mechanical word, the least one;
+        # each builds in the alphabet it is printed in
+        word = mechanical_word(n, k, alphabet=args.alphabet)
+    record.update(word=word)
+    lines.append(word)
     _emit(args, record, lines)
     return EXIT_OK
 
@@ -206,7 +200,7 @@ def cmd_check(args) -> int:
     else:
         start, weight = _lightest_window(bits, s, head)
     admissible = weight >= t
-    shown = _rendered(word, args)
+    shown = bits if args.alphabet == "01" else word
     record = {"command": "check", "word": shown, "n": len(word), "k": k,
               "s": s, "t": t,
               "verdict": "admissible" if admissible else "not-admissible",

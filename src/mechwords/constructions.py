@@ -8,7 +8,7 @@ quotient. Rotation utilities make "same necklace" checkable.
 
 from typing import Sequence
 
-from .words import A, B, _check_slope, _euclid, _smith_ladder, parse_word
+from .words import _check_slope, _euclid, _seeds, _smith_ladder, parse_word
 
 PLUS = "+"
 MINUS = "-"
@@ -49,7 +49,7 @@ def symbol_stages(n: int, k: int) -> list[str]:
     return stages[1:]
 
 
-def arrange(n: int, k: int) -> str:
+def arrange(n: int, k: int, *, alphabet: str = "AB") -> str:
     """Spread k letters A over a circle of n spots with the gaps as even as possible.
 
     When k divides n the result is k blocks "A" + "B"*(n//k - 1). In general
@@ -59,11 +59,13 @@ def arrange(n: int, k: int) -> str:
     same kernel builds the last level of symbol_stages, the image for every
     quotient but the first: each of its pluses reads as "AB", each minus as
     "A", and every letter A picks up q-1 trailing letters B for the first
-    quotient q, filling all n spots with weight exactly k.
+    quotient q, filling all n spots with weight exactly k. alphabet="01"
+    reads + -> 1, - -> 0 instead, building to_bits of the word.
     """
     _check_slope(n, k)
+    plus, minus = _seeds(alphabet)
     quotients, _, g = _euclid(n, k)
-    return _substitute(quotients, A, B) * g
+    return _substitute(quotients, plus, minus) * g
 
 
 def smith_quotients(n: int, k: int) -> list[int]:
@@ -76,19 +78,20 @@ def smith_quotients(n: int, k: int) -> list[int]:
     return quotients
 
 
-def smith_ladder(quotients: Sequence[int]) -> list[str]:
+def smith_ladder(quotients: Sequence[int], *, alphabet: str = "AB") -> list[str]:
     """All words S_1 .. S_t of the continued-fraction recursion.
 
     S_1 = B^m1 * A, S_2 = S_1^m2 * B, and S_j = S_{j-1}^m_j * S_{j-2} after
     that. The first quotient may be 0 (making S_1 = "A"), which is what a
     leading-quotient decrement produces for slopes above 1/2; every later
-    quotient must be positive.
+    quotient must be positive. alphabet="01" seeds the recursion with 1 for
+    A and 0 for B, building to_bits of every word.
     """
     if not quotients:
         raise ValueError("quotient list must be non-empty")
     if quotients[0] < 0 or any(m < 1 for m in quotients[1:]):
         raise ValueError("quotients must be positive (the first may be 0)")
-    return _smith_ladder(quotients)
+    return _smith_ladder(quotients, *_seeds(alphabet))
 
 
 def canonical_rotation(word: str) -> tuple[str, int]:

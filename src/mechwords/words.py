@@ -29,6 +29,19 @@ def _check_slope(n: int, k: int) -> None:
         raise ValueError(f"slope k/n needs 0 < k <= n, got k={k}, n={n}")
 
 
+# the builders' alphabets: each word is built from two seed letters, the pair
+# for A and B, so a build in digits is letter for letter to_bits of one in
+# letters
+_SEEDS = {"AB": (A, B), "01": ("1", "0")}
+
+
+def _seeds(alphabet: str) -> tuple[str, str]:
+    try:
+        return _SEEDS[alphabet]
+    except KeyError:
+        raise ValueError(f"alphabet must be 'AB' or '01', got {alphabet!r}") from None
+
+
 def _check_window(name: str, m: int, n: int) -> None:
     if not 1 <= m <= n:
         raise ValueError(f"{name} must be in 1..{n}, got {m}")
@@ -56,7 +69,11 @@ def _as_bits(word: str) -> str:
 
 
 def to_bits(word: str) -> str:
-    """Render a word as 0/1 digits (A -> 1, B -> 0)."""
+    """Render a word as 0/1 digits (A -> 1, B -> 0).
+
+    A word the library builds needs no rendering pass: the builders take
+    alphabet="01" and build the same digits directly.
+    """
     return _as_bits(parse_word(word))
 
 
@@ -71,17 +88,17 @@ def _euclid(n: int, k: int) -> tuple[list[int], list[int], int]:
     return quotients, remainders, n
 
 
-def _smith_ladder(quotients: Sequence[int]) -> list[str]:
-    # the string-doubling kernel: S_j = S_{j-1}^m_j * S_{j-2} from S_-1 = A,
-    # S_0 = B, one repetition and one concatenation per quotient
-    ladder, prev, cur = [], A, B
+def _smith_ladder(quotients: Sequence[int], a: str, b: str) -> list[str]:
+    # the string-doubling kernel: S_j = S_{j-1}^m_j * S_{j-2} from S_-1 = a,
+    # S_0 = b, one repetition and one concatenation per quotient
+    ladder, prev, cur = [], a, b
     for m in quotients:
         prev, cur = cur, cur * m + prev
         ladder.append(cur)
     return ladder
 
 
-def mechanical_word(n: int, k: int) -> str:
+def mechanical_word(n: int, k: int, *, alphabet: str = "AB") -> str:
     """One period of the mechanical word of slope k/n, with 0 < k <= n.
 
     Letter i is ceil(k*(i+1)/n) - ceil(k*i/n) rendered through 1 -> A, 0 -> B,
@@ -91,14 +108,16 @@ def mechanical_word(n: int, k: int) -> str:
     For k < n it is Smith's word on smith_quotients(n/g, k/g), its last two
     letters dropped and closed up as A...B, repeated g = gcd(n, k) times: the
     upper Christoffel word or its power, the least rotation (A < B).
+    alphabet="01" builds the same word in digits, to_bits of the word.
     """
     _check_slope(n, k)
+    a, b = _seeds(alphabet)
     if k == n:
-        return A * n
+        return a * n
     quotients, _, g = _euclid(n, k)
     quotients[0] -= 1
-    tail = _smith_ladder(quotients)[-1]
-    return (A + tail[:-2] + B) * g
+    tail = _smith_ladder(quotients, a, b)[-1]
+    return (a + tail[:-2] + b) * g
 
 
 class BalanceCheck(NamedTuple):

@@ -186,9 +186,9 @@ def test_generate_builds_the_mechanical_word_once(capsys, monkeypatch):
     calls = []
     build = cli.mechanical_word
 
-    def counting(n, k):
+    def counting(n, k, **kwargs):
         calls.append((n, k))
-        return build(n, k)
+        return build(n, k, **kwargs)
 
     monkeypatch.setattr(cli, "mechanical_word", counting)
     for flags in ([], ["--canonical"]):
@@ -204,9 +204,9 @@ def test_generate_canonical_builds_no_discarded_word(capsys, monkeypatch):
     calls = []
 
     def counting(name, build):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append(name)
-            return build(*args)
+            return build(*args, **kwargs)
         return wrapped
 
     for name in ("arrange", "smith_ladder"):

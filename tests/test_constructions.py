@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive
@@ -18,6 +18,7 @@ from mechwords import (
     smith_ladder,
     smith_quotients,
     symbol_stages,
+    to_bits,
 )
 
 ARRANGE_23_10 = "ABBABABABABBABABABBABAB"
@@ -196,6 +197,50 @@ def test_smith_length_and_weight():
         word = smith_ladder(euclid_trace(p, q)[0])[-1]
         assert len(word) == p + q
         assert word.count("A") == q
+
+
+def ceiling_digits(n, k):
+    # digit i of the mechanical word is ceil(k*(i+1)/n) - ceil(k*i/n)
+    return "".join(str(-(-k * (i + 1) // n) + (k * i // -n)) for i in range(n))
+
+
+def test_builders_in_digits_are_to_bits_of_letters():
+    # each builder seeded with (1, 0) builds letter for letter to_bits of its
+    # (A, B) build; the mechanical word is also held to the ceiling formula,
+    # and the Smith word to its length and weight
+    for n in range(1, 61):
+        for k in range(1, n + 1):
+            digits = mechanical_word(n, k, alphabet="01")
+            assert digits == to_bits(mechanical_word(n, k)) == ceiling_digits(n, k), (n, k)
+            assert arrange(n, k, alphabet="01") == to_bits(arrange(n, k)), (n, k)
+    for n, k in [(1, 1), *coprime_pairs(60)]:
+        quotients = smith_quotients(n, k)
+        ladder = smith_ladder(quotients, alphabet="01")
+        assert ladder == [to_bits(w) for w in smith_ladder(quotients)], (n, k)
+        assert len(ladder[-1]) == n and ladder[-1].count("1") == k, (n, k)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10**5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_builders_in_digits_at_large_n(pair):
+    n, k = pair
+    digits = mechanical_word(n, k, alphabet="01")
+    assert digits == to_bits(mechanical_word(n, k))
+    assert len(digits) == n and digits.count("1") == k
+    assert arrange(n, k, alphabet="01") == to_bits(arrange(n, k))
+    if math.gcd(n, k) == 1:
+        quotients = smith_quotients(n, k)
+        assert smith_ladder(quotients, alphabet="01") == list(map(to_bits, smith_ladder(quotients)))
+
+
+@pytest.mark.parametrize("alphabet", ["", "ab", "10", "BA", "AB ", "0 1", "AB01", "A", "1"])
+def test_builders_reject_other_alphabets(alphabet):
+    for build in (lambda: mechanical_word(7, 3, alphabet=alphabet),
+                  lambda: mechanical_word(4, 4, alphabet=alphabet),
+                  lambda: arrange(7, 3, alphabet=alphabet),
+                  lambda: smith_ladder([1, 3, 3], alphabet=alphabet)):
+        with pytest.raises(ValueError, match=f"^alphabet must be 'AB' or '01', got {alphabet!r}$"):
+            build()
 
 
 @pytest.mark.parametrize("word, expected", [

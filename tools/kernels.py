@@ -47,20 +47,36 @@ def _slope(n, rng, coprime=False):
     return k
 
 
-def _mechanical_word(n, rng):
-    k = _slope(n, rng)
-    return {"k": k}, lambda: mechanical_word(n, k)
+# the builders' rows, one setup per alphabet; a row's arguments are drawn from
+# its kernel's seed, so both alphabets build the same word at one size
+def _mechanical_word(alphabet):
+    def setup(n, rng):
+        k = _slope(n, rng)
+        return {"k": k, "alphabet": alphabet}, lambda: mechanical_word(n, k, alphabet=alphabet)
+    return setup
 
 
-def _arrange(n, rng):
-    k = _slope(n, rng)
-    return {"k": k}, lambda: arrange(n, k)
+def _arrange(alphabet):
+    def setup(n, rng):
+        k = _slope(n, rng)
+        return {"k": k, "alphabet": alphabet}, lambda: arrange(n, k, alphabet=alphabet)
+    return setup
 
 
-def _smith_ladder(n, rng):
-    k = _slope(n, rng, coprime=True)
-    quotients = smith_quotients(n, k)
-    return {"k": k}, lambda: smith_ladder(quotients)
+def _smith_ladder(alphabet):
+    def setup(n, rng):
+        k = _slope(n, rng, coprime=True)
+        quotients = smith_quotients(n, k)
+        return {"k": k, "alphabet": alphabet}, lambda: smith_ladder(quotients, alphabet=alphabet)
+    return setup
+
+
+def _mechanical_word_as_bits(n, rng):
+    # digits the way generate --alphabet 01 made them before the builders
+    # took the alphabet: a build in letters, then a translation pass; k as in
+    # the mechanical_word row
+    k = _slope(n, random.Random(f"{SEED} mechanical_word"))
+    return {"k": k}, lambda: _as_bits(mechanical_word(n, k))
 
 
 def _mechanical_window(n, rng):
@@ -197,12 +213,16 @@ def _verify_sweeps(n_max, rng):
 
 # (kernel, size, setup); setup(size, rng) -> (arguments, call)
 TABLE = [
-    ("mechanical_word", 10**6, _mechanical_word),
-    ("arrange", 10**6, _arrange),
-    ("smith_ladder", 10**6, _smith_ladder),
-    ("mechanical_word", 10**4, _mechanical_word),
-    ("arrange", 10**4, _arrange),
-    ("smith_ladder", 10**4, _smith_ladder),
+    ("mechanical_word", 10**6, _mechanical_word("AB")),
+    ("mechanical_word", 10**6, _mechanical_word("01")),
+    ("words._as_bits(mechanical_word)", 10**6, _mechanical_word_as_bits),
+    ("arrange", 10**6, _arrange("AB")),
+    ("arrange", 10**6, _arrange("01")),
+    ("smith_ladder", 10**6, _smith_ladder("AB")),
+    ("smith_ladder", 10**6, _smith_ladder("01")),
+    ("mechanical_word", 10**4, _mechanical_word("AB")),
+    ("arrange", 10**4, _arrange("AB")),
+    ("smith_ladder", 10**4, _smith_ladder("AB")),
     ("mechanical_window", 10**6, _mechanical_window),
     ("canonical_rotation", 10**6, _canonical_rotation),
     ("words._window_weights", 10**5, _window_weights_row),

@@ -70,6 +70,8 @@ LEVELS_TESTS = (
     "tests/test_words.py::test_window_levels_match_prefix_sums_at_1e5",
     "tests/test_cli.py::test_check_verbose_wide_profiles_match_prefix_sums",
 )
+DIGITS_TESTS = ("tests/test_constructions.py::test_builders_in_digits_are_to_bits_of_letters",
+                "tests/test_constructions.py::test_builders_in_digits_at_large_n")
 
 CATALOGUE = [
     Mutant("rotation-comparison-flipped", "constructions.py",
@@ -143,9 +145,17 @@ CATALOGUE = [
            ("tests/test_words.py::test_check_balance_agrees_with_enumeration",
             "tests/test_words.py::test_check_balance_reports_first_violation")),
     Mutant("mechanical-close-up-swapped", "words.py",
-           "return (A + tail[:-2] + B) * g", "return (B + tail[:-2] + A) * g",
+           "return (a + tail[:-2] + b) * g", "return (b + tail[:-2] + a) * g",
            ("tests/test_words.py::test_mechanical_word_golden",
             "tests/test_words.py::test_mechanical_word_prefix_counts")),
+    # the letters build is unchanged, so only a build in digits shows it
+    Mutant("mechanical-close-up-in-letters", "words.py",
+           "return (a + tail[:-2] + b) * g", "return (A + tail[:-2] + B) * g",
+           DIGITS_TESTS),
+    # both alphabets swap alike, so the builds still agree letter for letter;
+    # the ceiling formula and the Smith word's weight show it
+    Mutant("smith-seeds-swapped", "words.py",
+           "ladder, prev, cur = [], a, b", "ladder, prev, cur = [], b, a", DIGITS_TESTS),
     Mutant("necklace-period-test-dropped", "oracle.py",
            "            if n % p == 0:\n", "            if True:\n",
            ("tests/test_oracle.py::test_necklaces_obey_burnside",)),
