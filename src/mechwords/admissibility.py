@@ -11,21 +11,23 @@ integer arithmetic alone. `_two_valued` gives the whole profile of any word
 whose windows weigh that floor or one more as the floor plus one 0/1 byte per
 window: the parity prefix of the word XOR its rotation, computed on the word
 packed into one int and certified by one more big-int test, with no window
-summed. On every other word it says so: `check` then finds the lightest
-window with `words._lightest_window`, from 64-step block minima, and
-`check --verbose` takes the whole profile from `words._window_levels`, one
-or two level bytes a window above the lightest; neither makes a Python int
-per window. The list of all n weights is summed for `window_weight_profile`,
-for `is_admissible` and `discrepancy` (below about 300 letters, the oracle's
+summed. `_check_windows` is `check`'s whole chain: it validates the
+arguments, tries `_two_valued`, and on every other word takes the lightest
+window from `words._lightest_window`, 64-step block minima, which for
+`check --verbose` also gives the whole profile as one or two level bytes a
+window above the lightest; neither kernel makes a Python int per window.
+The list of all n weights is summed for `window_weight_profile`, for
+`is_admissible` and `discrepancy` (below about 300 letters, the oracle's
 sizes, the list is the faster), and for `check --verbose` on a profile that
-spans more levels than `words._window_levels` takes.
+spans more levels than the level bytes take.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .words import (
-    _check_quota, _check_slope, _check_window, _window_weights, parse_word)
+    A, _as_bits, _check_quota, _check_slope, _check_window, _lightest_window, _window_weights,
+    parse_word)
 
 # digits of the packed excess word as the 0/1 bytes _two_valued returns
 _EXCESS = bytes.maketrans(b"01", b"\x00\x01")
@@ -158,12 +160,29 @@ def _two_valued(bits: str, k: int, s: int, head: int) -> tuple[int, bytes] | Non
     return low, format(p, f"0{n}b").encode().translate(_EXCESS)
 
 
-def _check_instance(word: str, s: int, t: int) -> None:
-    # check's arguments in check's first-error order (letters, empty word, s,
-    # then t), with no window summed
+def _check_windows(word: str, s: int, t: int, leveled: bool
+                   ) -> tuple[str, int, int, int, int | None, bytes | None]:
+    """check's verdict: (digits, k, start, weight, top, levels).
+
+    The word, s and t are checked in check's first-error order (letters,
+    empty word, s, then t) before any scan. digits are the word as 0/1 and
+    k its letters A; start and weight locate its first lightest window of s
+    spots, whose weight check compares with t. A profile `_two_valued`
+    certifies comes with top 1 and its 0/1 excess bytes as levels; any other
+    word goes to `words._lightest_window`, which gives top and levels as it
+    documents, with leveled as given.
+    """
     parse_word(word)
     _check_window("s", s, len(word))
     _check_quota(t)
+    bits, k, head = _as_bits(word), word.count(A), word.count(A, 0, s)
+    two_valued = _two_valued(bits, k, s, head)
+    if two_valued:
+        # every window weighs low or low + 1, and they average k*s/n < low + 1,
+        # so the first light window is the lightest
+        weight, excess = two_valued
+        return bits, k, excess.find(0), weight, 1, excess
+    return bits, k, *_lightest_window(bits, s, head, leveled)
 
 
 def is_admissible(word: str, s: int, t: int) -> bool:

@@ -15,12 +15,11 @@ import sys
 from typing import Sequence
 
 from .admissibility import (
-    AdmissibilityQuery, _check_instance, _two_valued, criterion, mechanical_window)
+    AdmissibilityQuery, _check_windows, _two_valued, criterion, mechanical_window,
+    window_weight_profile)
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
-from .words import (
-    _as_bits, _check_slope, _check_window, _lightest_window, _window_levels, _window_weights,
-    mechanical_word)
+from .words import _as_bits, _check_slope, _check_window, mechanical_word
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -55,7 +54,7 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 
 
 def _weights(low: int, top: int, levels: bytes, sep: str) -> str:
-    # window i weighs low + level i, with levels as words._window_levels
+    # window i weighs low + level i, with levels as words._lightest_window
     # gives them (one byte a window when top < 256, else a band of 256
     # levels, then the level within it) and top at least the largest level;
     # a 0/1 excess is the case top = 1. Each weight is written as a
@@ -114,8 +113,8 @@ def cmd_plan(args) -> int:
         return EXIT_NEGATIVE
     _check_word_cap(query.n)
     # --canonical is a no-op: the mechanical word is its least rotation
-    word = mechanical_word(query.n, query.k)
-    bits = _as_bits(word)
+    word = mechanical_word(query.n, query.k, alphabet=args.alphabet)
+    bits = word if args.alphabet == "01" else _as_bits(word)
     # the word is balanced, so each window weighs low + its 0/1 excess byte;
     # its first s letters hold ceil(k*s/n) letters A
     profile = _two_valued(bits, query.k, query.s, -(-ks // query.n))
@@ -124,8 +123,7 @@ def cmd_plan(args) -> int:
                            f"mechanical_word({query.n}, {query.k}) is not two-valued")
     low, excess = profile
     witness = mechanical_window(query.n, query.k, query.s)
-    shown = bits if args.alphabet == "01" else word
-    record.update(verdict="admissible", word=shown)
+    record.update(verdict="admissible", word=word)
     if args.format == "machine":
         # json.dumps of the whole record, with the profile array spliced in as text
         head = json.dumps(record)[:-1]
@@ -134,7 +132,7 @@ def cmd_plan(args) -> int:
         return EXIT_OK
     _emit(args, record, [
         f"ADMISSIBLE: nt = {nt} <= ks = {ks}",
-        f"arrangement: {shown}",
+        f"arrangement: {word}",
         f"window weights (s={query.s}): {_weights(low, 1, excess, ' ')}",
         f"min window: start {witness.start}, weight {witness.weight}",
     ])
@@ -184,21 +182,7 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     word, s, t = args.word, args.s, args.t
-    _check_instance(word, s, t)
-    k = word.count("A")
-    # the word as 0/1 digits and its first window's weight, for every kernel
-    bits, head = _as_bits(word), word.count("A", 0, s)
-    levels = None
-    two_valued = _two_valued(bits, k, s, head)
-    if two_valued:
-        # every window weighs low or low + 1, and they average k*s/n < low + 1,
-        # so the first light window is the lightest
-        weight, levels = two_valued
-        top, start = 1, levels.find(0)
-    elif args.verbose and (leveled := _window_levels(bits, s, head)):
-        weight, top, start, levels = leveled
-    else:
-        start, weight = _lightest_window(bits, s, head)
+    bits, k, start, weight, top, levels = _check_windows(word, s, t, args.verbose)
     admissible = weight >= t
     shown = bits if args.alphabet == "01" else word
     record = {"command": "check", "word": shown, "n": len(word), "k": k,
@@ -216,11 +200,10 @@ def cmd_check(args) -> int:
         if levels is not None:
             weights = _weights(weight, top, levels, sep)
         else:
-            # past the levels kernel's span: the profile is summed only to be
+            # past the level bytes' span: the profile is summed only to be
             # rendered, and each of its distinct weights is rendered once
-            profile = _window_weights(word, s)
-            table = {v: str(v) for v in range(weight, max(profile) + 1)}
-            weights = sep.join(map(table.__getitem__, profile))
+            table = {v: str(v) for v in range(weight, weight + top + 1)}
+            weights = sep.join(map(table.__getitem__, window_weight_profile(word, s)))
         lines.append(f"window weights (s={s}): {weights}")
     if args.verbose and machine:
         # json.dumps of the whole record, with the profile array spliced in as text

@@ -163,10 +163,11 @@ def _block_tables() -> tuple[bytes, ...]:
 
 
 _SUM4, _LOW4, _DROP4, _PEAK4, *_RISE4 = _block_tables()
-# largest level _window_levels gives. Each band of 256 levels past the first
-# costs the renderer one masked merge per column: at n = 10**5 the kernel and
-# the renderer take about 0.65 of the window list's time at 4 bands, as long
-# at 8 and longer at 12 (run words, best of 9, Python 3.11, shared host)
+# largest level _lightest_window gives as level bytes. Each band of 256 levels
+# past the first costs the renderer one masked merge per column: at n = 10**5
+# the kernel and the renderer take about 0.65 of the window list's time at 4
+# bands, as long at 8 and longer at 12 (run words, best of 9, Python 3.11,
+# shared host)
 _LEVEL_CAP = 4 * 256 - 1
 
 
@@ -199,13 +200,19 @@ def _merged(sums: bytes, lows: bytes) -> tuple[bytes, bytes]:
             (la ^ ((la ^ v) & select)).to_bytes(half, "big"))
 
 
-def _lightest_window(bits: str, s: int, head: int) -> tuple[int, int]:
-    """(start, weight) of the first lightest circular window of s spots.
+def _lightest_window(bits: str, s: int, head: int, leveled: bool = False
+                     ) -> tuple[int, int, int | None, bytes | None]:
+    """(start, weight, top, levels): the first lightest window of s spots.
 
     For a non-empty word as 0/1 digits (`_as_bits`), 1 <= s <= n, and head
-    the weight of its first window; nothing is validated. The result is the
-    minimum of _window_weights(word, s) and its first index, found with no
-    Python int made per window.
+    the weight of its first window; nothing is validated. weight is the
+    minimum of _window_weights(word, s) and start its first index. With
+    leveled, top is the largest level (a weight minus the lightest) and,
+    when top <= _LEVEL_CAP, levels gives the profile: window i weighs weight
+    + level i, the levels being n lanes of one byte when top < 256 and of
+    two otherwise (big-endian: a band of 256 levels, then the level within
+    it). levels is None past the cap, and top and levels are None without
+    leveled. No Python int is made per window.
 
     With x the word as 0/1, window i + 1 weighs d[i] = x[i+s] - x[i] more
     than window i, so weight[i] is weight[0] plus the sum of d[0..i-1]. The
@@ -214,15 +221,18 @@ def _lightest_window(bits: str, s: int, head: int) -> tuple[int, int]:
     Four merges pair blocks 2j and 2j + 1 into blocks of 8, 16, 32 and 64
     steps, with sum = sa + sb and low = min(la, sa + lb), each merge a few
     big-int operations on the blocks' bytes as the byte lanes of two ints.
+    With leveled the same is done for the negated steps (steps too, so
+    within the same lane bounds), whose lowest prefix is minus the highest.
     One accumulate over the 64-step sums gives the weight at each block's
-    first spot, and with the block's low its lightest window; the first
-    lightest block holds the first lightest window, found by a walk of at
-    most 64 steps.
+    first spot, with the block's low its lightest window, and with its peak
+    its heaviest: so weight, top and the first lightest block. The first
+    lightest window lies in that block, and a walk of at most 64 steps from
+    its first spot finds it, on both results.
 
     Padding. The steps past n and the zero-step block that evens an odd
     count before a merge come after every real step, so their prefixes
     equal the sum of all n steps, 0, the prefix of window 0: the first
-    lightest window is never among them.
+    lightest window is never among them, and weight and top hold with them.
 
     Lane bounds. A block of m steps has sum in -m..m and low in -(m-1)..0,
     so at m <= 64 every stored lane (value plus 64) lies in 0..128. Merging
@@ -232,80 +242,49 @@ def _lightest_window(bits: str, s: int, head: int) -> tuple[int, int]:
     LA in 1..64, both below 128, so (LA | 0x80) - V lies in 33..191 in each
     lane, borrows from none, and has its top bit set exactly when LA >= V;
     that bit, spread over its byte, selects V over LA.
+
+    The levels. The blocks are split back down to 4 steps on 16-bit lanes
+    of first weight minus the lightest: block 2j starts where its parent j
+    does, and block 2j + 1 there plus the sum of block 2j, kept from the way
+    up. A 4-step block's lowest window is its first weight plus its lowest
+    prefix, and its window j lies p_j minus that prefix (its rise, in 0..3)
+    above it: so the levels are one lane add, of each block's lowest window
+    minus the lightest, written to the lanes of its 4 windows, and the rise
+    of each window from one table per j. Every lane on the way down holds a
+    first weight minus the lightest, in 0..top, plus a sum in -32..32 stored
+    plus 64, so none reaches top + 96 < 2**16 and none carries; taking 64
+    off each leaves a first weight minus the lightest, so none borrows. A
+    block's lowest window minus the lightest and a level are in 0..top too,
+    below 256**width. The padding's blocks and windows are dropped on the
+    way down.
     """
+    n = len(bits)
     digits, keys = _step_keys(bits, s)
     sums, lows = keys.translate(_SUM4), keys.translate(_LOW4)
+    if leveled:
+        drops, peaks = keys.translate(_DROP4), keys.translate(_PEAK4)
+    halves = []
     for _ in range(4):
+        halves.append(sums)
         sums, lows = _merged(sums, lows)
-    starts = list(accumulate(map(sub, sums, repeat(64)), initial=head))
-    tops = list(map(add, starts, lows))
-    top = min(tops)
-    block = tops.index(top)
-    weight = top - 64
+        if leveled:
+            drops, peaks = _merged(drops, peaks)
+    starts = list(accumulate(map(sub, sums[:-1], repeat(64)), initial=head))
+    lightest = list(map(add, starts, lows))
+    block = lightest.index(min(lightest))
+    weight = lightest[block] - 64
     # digits 2i and 2i + 1 are x[i] and x[i+s] as ASCII 0/1, so their
     # difference is d[i]
     i, w = 64 * block, starts[block]
     while w != weight:
         w += digits[2 * i + 1] - digits[2 * i]
         i += 1
-    return i, weight
-
-
-def _window_levels(bits: str, s: int, head: int) -> tuple[int, int, int, bytes] | None:
-    """(low, top, start, levels): the s-window profile as level bytes.
-
-    For a non-empty word as 0/1 digits, 1 <= s <= n and head the weight of
-    its first window; nothing is validated. Window i weighs low + level i:
-    low is min(_window_weights(word, s)), start its first index and top the
-    largest level. The levels are n lanes of one byte when top < 256 and of
-    two otherwise (big-endian: a band of 256 levels, then the level within
-    it). The result is None when top > _LEVEL_CAP. No Python int is made
-    per window.
-
-    The blocks of `_lightest_window` are merged up to 64 steps twice: for
-    each block's sum and lowest prefix, and for the same of the negated
-    steps (steps too, so within the same lane bounds), whose lowest prefix
-    is minus the highest. One accumulate over the
-    64-step sums gives each block's first weight, and so low, top and the
-    first block holding a window of weight low. Then the blocks are split
-    back down to 4 steps on 16-bit lanes of first weight minus low: block 2j
-    starts where its parent j does, and block 2j + 1 there plus the sum of
-    block 2j, kept from the way up. A 4-step block's lowest window is its
-    first weight plus its lowest prefix, and its window j lies p_j minus
-    that prefix (its rise, in 0..3) above it: so the levels are one lane
-    add, of each block's lowest window minus low, written to the lanes of
-    its 4 windows, and the rise of each window from one table per j.
-
-    Lane bounds. Every lane on the way down holds a first weight minus low,
-    in 0..top, plus a sum in -32..32 stored plus 64, so none reaches top +
-    96 < 2**16 and none carries; taking 64 off each leaves a first weight
-    minus low, so none borrows. A block's lowest window minus low and a
-    level are in 0..top too, below 256**w. The padding (see
-    `_lightest_window`) weighs what window 0 does, so low and top hold with
-    it, and its blocks and windows are dropped on the way down.
-
-    The first lightest window lies in the first 64-step block that holds a
-    window of weight low, where every level is below 64. So it is the first
-    lane of w zero bytes at or after that block: a match that starts at a
-    lane's second byte needs that lane's level, below 256, to be 0, and then
-    the lane itself matched first.
-    """
-    n = len(bits)
-    _, keys = _step_keys(bits, s)
-    sums, lows = keys.translate(_SUM4), keys.translate(_LOW4)
-    drops, peaks = keys.translate(_DROP4), keys.translate(_PEAK4)
-    halves = []
-    for _ in range(4):
-        halves.append(sums)
-        sums, lows = _merged(sums, lows)
-        drops, peaks = _merged(drops, peaks)
-    starts = list(accumulate(map(sub, sums[:-1], repeat(64)), initial=head))
-    lightest = list(map(add, starts, lows))
-    low = min(lightest) - 64
-    top = max(map(sub, starts, peaks)) + 64 - low
+    if not leveled:
+        return i, weight, None, None
+    top = max(map(sub, starts, peaks)) + 64 - weight
     if top > _LEVEL_CAP:
-        return None
-    rel = struct.pack(f">{len(starts)}H", *map(sub, starts, repeat(low)))
+        return i, weight, top, None
+    rel = struct.pack(f">{len(starts)}H", *map(sub, starts, repeat(weight)))
     for sums in reversed(halves):
         parents = len(rel) // 2
         evens = bytearray(2 * parents)
@@ -321,17 +300,16 @@ def _window_levels(bits: str, s: int, head: int) -> tuple[int, int, int, bytes] 
     floors[1::2] = keys.translate(_LOW4)
     bases = (int.from_bytes(rel, "big") + int.from_bytes(floors, "big")
              - int.from_bytes(b"\x00\x40" * blocks, "big")).to_bytes(2 * blocks, "big")
-    w = 1 if top < 256 else 2
-    wide, rises = bytearray(4 * w * blocks), bytearray(4 * w * blocks)
+    width = 1 if top < 256 else 2
+    wide, rises = bytearray(4 * width * blocks), bytearray(4 * width * blocks)
     for j, table in enumerate(_RISE4):
         # the last byte of window j's lane, then the one before it
-        for h in range(w):
-            wide[w * (j + 1) - 1 - h::4 * w] = bases[1 - h::2]
-        rises[w * (j + 1) - 1::4 * w] = keys.translate(table)
+        for h in range(width):
+            wide[width * (j + 1) - 1 - h::4 * width] = bases[1 - h::2]
+        rises[width * (j + 1) - 1::4 * width] = keys.translate(table)
     levels = (int.from_bytes(wide, "big")
               + int.from_bytes(rises, "big")).to_bytes(len(wide), "big")
-    start = levels.find(bytes(w), 64 * w * lightest.index(low + 64)) // w
-    return low, top, start, levels[:w * n]
+    return i, weight, top, levels[:width * n]
 
 
 def check_balance(period: str, m: int) -> BalanceCheck:

@@ -423,10 +423,18 @@ def test_check_verbose_wide_profiles_match_prefix_sums(capsys, monkeypatch):
     # profiles of one to four bands of 256 levels and past them: runs
     # A^a B^a at s = a, whose windows weigh 0 to a, with a random tail so the
     # lightest window does not start at a block, and random words at about
-    # 10**5; only the runs past the levels kernel's cap sum the window list
-    summed = []
-    monkeypatch.setattr(cli, "_window_weights",
+    # 10**5. Each request calls the block kernel once, for its witness, top
+    # and levels, and only the runs past its cap, where it gives no levels,
+    # sum the window list
+    summed, results = [], []
+    monkeypatch.setattr(admissibility, "_window_weights",
                         lambda word, s: summed.append(s) or words._window_weights(word, s))
+
+    def recording(*args):
+        results.append(words._lightest_window(*args))
+        return results[-1]
+
+    monkeypatch.setattr(admissibility, "_lightest_window", recording)
     rng = random.Random(31)
     cases = []
     for span in (255, 256, 511, 512, 1023, 1024, 1500):
@@ -444,6 +452,10 @@ def test_check_verbose_wide_profiles_match_prefix_sums(capsys, monkeypatch):
         code, record, _ = machine(capsys, "check", word, str(s), str(weight + 1), "--verbose")
         assert code == 2 and record["profile"] == weights.tolist(), (len(word), s)
         assert (record["witness_start"], record["witness_weight"]) == (start, weight)
+        top = int(weights.max()) - weight
+        assert [result[:3] for result in results] == [(start, weight, top)] * 2, (len(word), s)
+        assert [result[3] is None for result in results] == [top > 1023] * 2, (len(word), s)
+        results.clear()
     assert summed == [1024, 1024, 1500, 1500]
 
 
@@ -606,8 +618,7 @@ def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
         calls.append(m)
         return words._window_weights(word, m)
 
-    for module in (admissibility, cli):
-        monkeypatch.setattr(module, "_window_weights", counting)
+    monkeypatch.setattr(admissibility, "_window_weights", counting)
     # plan scans no window at all: its profile comes from the parity kernel
     code, record, _ = machine(capsys, "plan", "1000", "382", "17", "6")
     assert code == 0 and record["witness_weight"] == 6
@@ -629,6 +640,28 @@ def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
     assert calls == [1024]
 
 
+def test_plan_in_digits_translates_no_word(capsys, monkeypatch):
+    # under --alphabet 01 plan builds its word in digits, so no word is
+    # translated; under AB the word is translated once, for the kernel
+    translated = []
+    monkeypatch.setattr(cli, "_as_bits",
+                        lambda word: translated.append(word) or words._as_bits(word))
+    for n, k, s in ((7, 3, 5), (12, 12, 5), (1000, 382, 17), (1001, 1, 1000)):
+        word = words.mechanical_word(n, k)
+        weights = naive.windows(word, s)
+        argv = ["plan", str(n), str(k), str(s), str(min(weights)), "--alphabet", "01"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[1:3] == [
+            f"arrangement: {words.to_bits(word)}",
+            f"window weights (s={s}): {' '.join(map(str, weights))}"], argv
+        code, record, _ = machine(capsys, *argv)
+        assert code == 0 and record["profile"] == weights, argv
+        assert record["word"] == words.to_bits(word), argv
+    assert translated == []
+    assert run(capsys, "plan", "7", "3", "5", "2")[0] == 0
+    assert translated == ["ABABABB"]
+
+
 def test_plan_stops_on_a_profile_the_kernel_refuses(capsys, monkeypatch):
     # a mechanical word whose profile the kernel did not certify is a fault of
     # the program, not of the input: it raises rather than exiting 1
@@ -648,10 +681,11 @@ def test_check_refuses_negative_quota_before_any_scan(capsys, monkeypatch):
             return fn(*args)
         return counted
 
-    for module in (admissibility, cli):
-        monkeypatch.setattr(module, "_window_weights", counting("scan", words._window_weights))
-    monkeypatch.setattr(cli, "_two_valued", counting("kernel", admissibility._two_valued))
-    monkeypatch.setattr(cli, "_lightest_window", counting("lightest", words._lightest_window))
+    monkeypatch.setattr(admissibility, "_window_weights", counting("scan", words._window_weights))
+    monkeypatch.setattr(admissibility, "_two_valued",
+                        counting("kernel", admissibility._two_valued))
+    monkeypatch.setattr(admissibility, "_lightest_window",
+                        counting("lightest", words._lightest_window))
     rng = random.Random(27)
     word = "".join(rng.choice("AB") for _ in range(10**5))
     assert run(capsys, "check", word, "500", "-1") == (1, "", "error: t must be non-negative\n")

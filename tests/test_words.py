@@ -8,7 +8,7 @@ import pytest
 
 import naive
 from mechwords import check_balance, mechanical_word, parse_word, to_bits
-from mechwords.words import _as_bits, _lightest_window, _window_levels, _window_weights
+from mechwords.words import _as_bits, _lightest_window, _window_weights
 
 
 # mechanical-word periods frozen after recomputation from the prefix-count
@@ -128,8 +128,11 @@ def test_mechanical_words_are_balanced():
 
 
 def lightest_window(word, s):
-    # the kernel on a word over {A, B}, given its digits and first window
-    return _lightest_window(_as_bits(word), s, word.count("A", 0, s))
+    # the kernel on a word over {A, B}, given its digits and first window;
+    # without levels asked for it gives neither top nor levels
+    start, weight, top, levels = _lightest_window(_as_bits(word), s, word.count("A", 0, s))
+    assert top is None and levels is None
+    return start, weight
 
 
 def test_lightest_window_matches_enumeration_on_every_small_word():
@@ -178,12 +181,12 @@ def test_lightest_window_matches_prefix_sums_at_1e5():
 
 
 def window_levels(word, s):
-    # the kernel on a word over {A, B}, its levels read as ints; None past
-    # its cap
-    result = _window_levels(_as_bits(word), s, word.count("A", 0, s))
-    if result is None:
-        return None
-    low, top, start, levels = result
+    # the kernel on a word over {A, B} with levels asked for, its levels read
+    # as ints; None in their place past its cap
+    start, low, top, levels = _lightest_window(
+        _as_bits(word), s, word.count("A", 0, s), leveled=True)
+    if levels is None:
+        return low, top, start, None
     if top >= 256:
         levels = [256 * band + level for band, level in zip(levels[0::2], levels[1::2])]
     return low, top, start, list(levels)
@@ -229,8 +232,9 @@ def test_window_levels_at_the_band_edges():
                 weights = naive.windows_by_prefix_sums(word, span).tolist()
                 check_levels(word, span, weights)
                 assert window_levels(word, span)[1] == max(weights) - min(weights) >= span - 1
+    # past the cap: the lightest window, at the first B, and top, but no levels
     for span in (1024, 1025, 2000):
-        assert window_levels("A" * span + "B" * span, span) is None
+        assert window_levels("A" * span + "B" * span, span) == (0, span, span, None)
 
 
 def test_window_levels_match_prefix_sums_at_1e5():

@@ -33,8 +33,7 @@ from mechwords import (  # noqa: E402
     AdmissibilityQuery, arrange, brute_force_exists, canonical_rotation, cli, criterion,
     mechanical_window, mechanical_word, smith_ladder, smith_quotients, verify_sweeps)
 from mechwords.admissibility import _two_valued  # noqa: E402
-from mechwords.words import (  # noqa: E402
-    _as_bits, _lightest_window, _window_levels, _window_weights)
+from mechwords.words import _as_bits, _lightest_window, _window_weights  # noqa: E402
 
 SEED = 6
 REPEATS = 15
@@ -115,14 +114,16 @@ def _lightest_window_row(n, rng):
 
 
 def _levels_and_weights(word, s):
-    # check --verbose on a word the parity kernel refuses: the levels
-    # kernel, then the text line's renderer
+    # check --verbose on a word the parity kernel refuses: the block kernel
+    # with its levels, then the text line's renderer. The rows keep the label
+    # they had when a kernel of their own gave the levels, so tables from
+    # before and after compare row by row
     bits, head = _as_bits(word), word.count("A", 0, s)
 
     def call():
-        low, top, _, levels = _window_levels(bits, s, head)
+        _, low, top, levels = _lightest_window(bits, s, head, True)
         return cli._weights(low, top, levels, " ")
-    return _window_levels(bits, s, head)[1], call
+    return _lightest_window(bits, s, head, True)[2], call
 
 
 def _levels_row(n, rng):

@@ -133,7 +133,7 @@ CATALOGUE = [
            "del out[-len(tail):]", "del out[-1:]", (*PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
     # only a profile past the levels kernel's cap renders through the table
     Mutant("check-table-one-short", "cli.py",
-           "range(weight, max(profile) + 1)", "range(weight, max(profile))",
+           "range(weight, weight + top + 1)", "range(weight, weight + top)",
            ("tests/test_cli.py::test_check_verbose_wide_profiles_match_prefix_sums",)),
     Mutant("generate-canonical-condition-and", "cli.py",
            'if args.method == "mechanical" or args.canonical:',
@@ -206,13 +206,14 @@ CATALOGUE = [
            "list(accumulate(closed, initial=0)) == ceilings",
            "list(accumulate(closed, initial=0)) == [c + 1 for c in ceilings]",
            ("tests/test_cli.py::test_verify_small",)),
-    Mutant("check-witness-first-heavy-byte", "cli.py",
-           "levels.find(0)", "levels.find(1)",
+    Mutant("check-witness-first-heavy-byte", "admissibility.py",
+           "excess.find(0)", "excess.find(1)",
            ("tests/test_cli.py::test_check_witness_is_first_minimum_window",)),
     # the walk still finds the first lightest window of the block it enters,
     # so only a tie between two 64-step blocks shows the last one taken
     Mutant("check-witness-last-minimum", "words.py",
-           "block = tops.index(top)", "block = len(tops) - 1 - tops[::-1].index(top)",
+           "block = lightest.index(min(lightest))",
+           "block = len(lightest) - 1 - lightest[::-1].index(min(lightest))",
            LIGHTEST_TESTS),
     Mutant("lightest-odd-count-padding-dropped", "words.py",
            '    if len(sums) % 2:\n        sums += b"\\x40"\n'
@@ -233,15 +234,13 @@ CATALOGUE = [
     Mutant("levels-odd-block-after-odd-sum", "words.py",
            "evens[1::2] = sums[0::2]", "evens[1::2] = sums[1::2]", LEVELS_TESTS),
     Mutant("levels-top-from-lows", "words.py",
-           "top = max(map(sub, starts, peaks)) + 64 - low",
-           "top = max(map(add, starts, lows)) - 64 - low", LEVELS_TESTS),
-    # with one byte a window the first zero byte is the first lightest window
-    # wherever the search starts; with two, a zero level byte followed by a
-    # zero band byte matches between two lanes, as after a window at level
-    # 256 and one at 255
-    Mutant("levels-start-searched-from-window-0", "words.py",
-           "levels.find(bytes(w), 64 * w * lightest.index(low + 64))", "levels.find(bytes(w))",
-           LEVELS_TESTS),
+           "top = max(map(sub, starts, peaks)) + 64 - weight",
+           "top = max(map(add, starts, lows)) - 64 - weight", LEVELS_TESTS),
+    # the walk shared by both results, entered one block late only when the
+    # levels are asked for
+    Mutant("levels-walk-one-block-late", "words.py",
+           "i, w = 64 * block, starts[block]",
+           "i, w = 64 * (block + leveled), starts[block + leveled]", LEVELS_TESTS),
 ]
 
 
