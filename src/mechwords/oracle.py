@@ -71,33 +71,59 @@ def brute_force_exists(query: AdmissibilityQuery) -> OracleResult:
     return OracleResult(False, None, len(necklaces))
 
 
+def _grid(n_top: int) -> tuple[int, list[str]]:
+    """Compare the search with criterion on each cell (n, k, s, t), 2 <= n <= n_top.
+
+    Returns the cell count and a failure line per disagreeing cell, in cell
+    order. A word whose lightest s-window holds t letters A holds t - 1 too,
+    so the search's answer falls as t grows, and a column (n, k, s) answers
+    yes exactly for t <= best, the largest t it accepts. best is found by a
+    walk from floor(k*s/n): up while the search accepts, else down until it
+    does; the walk up goes past that bound, so a best above it is found. When
+    the theorem holds, a column costs two searches, a witness at best and an
+    exhaustive miss at best + 1.
+    """
+    cells, failures = 0, []
+    for n in range(2, n_top + 1):
+        for k in range(1, n):
+            for s in range(1, n):
+                column = [AdmissibilityQuery(n, k, s, t) for t in range(min(k, s) + 1)]
+                best = k * s // n
+                if brute_force_exists(column[best]).exists:
+                    while best < min(k, s) and brute_force_exists(column[best + 1]).exists:
+                        best += 1
+                else:
+                    best -= 1
+                    while best >= 0 and not brute_force_exists(column[best]).exists:
+                        best -= 1
+                for t, query in enumerate(column):
+                    cells += 1
+                    if (t <= best) != criterion(query):
+                        failures.append(f"criterion n={n} k={k} s={s} t={t}")
+    return cells, failures
+
+
 def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     """Run verify's three sweeps up to n_max; return their counts and failures.
 
     Equivalence, coprime k < n: arrange, Smith's recursion and the mechanical
     word are rotations of one word, and both the mechanical word and the
     recursion's word closed up as A...B hold ceil(k*i/n) letters A in their
-    prefix of length i, computed in integers. Oracle grid, n <= 12:
-    brute_force_exists agrees with criterion. Balance: each window of length
-    m <= 2n of every mechanical word weighs floor(m*k/n) or ceil(m*k/n). A
-    word on the ceiling list passes every length by periodicity; a word off
-    it is scanned with check_balance at each m. Failures come equivalence
-    first, then grid, then balance. An n_max below 1 would pass vacuously,
-    so it raises ValueError before any sweep runs.
+    prefix of length i, computed in integers. Oracle grid, n <= 12: the
+    necklace search agrees with criterion on every cell (n, k, s, t), and
+    _grid asks the search only for each column's boundary. Balance: each
+    window of length m <= 2n of every mechanical word weighs floor(m*k/n) or
+    ceil(m*k/n). A word on the ceiling list passes every length by
+    periodicity; a word off it is scanned with check_balance at each m.
+    Failures come equivalence first, then grid, then balance. An n_max below
+    1 would pass vacuously, so it raises ValueError before any sweep runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     counts = {"equivalence_pairs": 0, "oracle_cells": 0, "balance_checks": 0}
-    equivalence, grid, balance = [], [], []
+    equivalence, balance = [], []
 
-    for n in range(2, min(n_max, 12) + 1):
-        for k in range(1, n):
-            for s in range(1, n):
-                for t in range(0, min(k, s) + 1):
-                    counts["oracle_cells"] += 1
-                    query = AdmissibilityQuery(n, k, s, t)
-                    if brute_force_exists(query).exists != criterion(query):
-                        grid.append(f"criterion n={n} k={k} s={s} t={t}")
+    counts["oracle_cells"], grid = _grid(min(n_max, 12))
 
     # a word whose prefix of length i holds P[i] = ceil(k*i/n) letters A for
     # 0 <= i <= n does so for every i, since P[i + n] = P[i] + k; its window

@@ -281,3 +281,48 @@ def test_verify_sweeps_refuses_empty_range(monkeypatch):
             verify_sweeps(n_max)
     with pytest.raises(RuntimeError, match="swept"):
         verify_sweeps(1)
+
+
+def test_grid_walks_to_each_columns_boundary(monkeypatch):
+    # a stub search whose answer falls as t grows, its boundary drawn up to
+    # two quotas either side of floor(k*s/n): verify's criterion lines must
+    # be those of asking the stub on every cell, so the walk finds a boundary
+    # above the bound and one below it, down to no quota at all
+    rng = random.Random(33)
+    columns = [(n, k, s) for n in range(2, 13) for k in range(1, n) for s in range(1, n)]
+    boundary = {(n, k, s): max(-1, min(min(k, s), k * s // n + rng.choice((-2, -1, 0, 1, 2))))
+                for n, k, s in columns}
+    assert {boundary[n, k, s] - k * s // n for n, k, s in columns} == {-2, -1, 0, 1, 2}
+
+    def search(query):
+        if not 0 <= query.t <= min(query.k, query.s):
+            raise ValueError(f"quota out of range: {query}")
+        return OracleResult(query.t <= boundary[query.n, query.k, query.s], None, 0)
+
+    monkeypatch.setattr(oracle, "brute_force_exists", search)
+    expected = [f"criterion n={n} k={k} s={s} t={t}" for n, k, s, t in grid_cells(range(2, 13))
+                if search(AdmissibilityQuery(n, k, s, t)).exists
+                != criterion(AdmissibilityQuery(n, k, s, t))]
+    counts, failures = verify_sweeps(12)
+    assert [line for line in failures if line.startswith("criterion ")] == expected
+    assert counts["oracle_cells"] == len(grid_cells(range(2, 13)))
+
+
+def test_grid_asks_the_search_twice_per_column(monkeypatch):
+    # where the theorem holds, each column (n, k, s) is settled by a witness
+    # at floor(k*s/n) and an exhaustive miss one quota above: 2 * 506 calls
+    asked = []
+    search = oracle.brute_force_exists
+
+    def recorded(query):
+        result = search(query)
+        asked.append((query.n, query.k, query.s, query.t, result.exists))
+        return result
+
+    monkeypatch.setattr(oracle, "brute_force_exists", recorded)
+    counts, failures = verify_sweeps(12)
+    assert failures == []
+    assert len(asked) == 1012
+    assert asked == [(n, k, s, k * s // n + up, not up)
+                     for n in range(2, 13) for k in range(1, n) for s in range(1, n)
+                     for up in (0, 1)]

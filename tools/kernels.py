@@ -30,8 +30,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mechwords import (  # noqa: E402
-    AdmissibilityQuery, arrange, brute_force_exists, canonical_rotation, cli, criterion,
-    mechanical_window, mechanical_word, smith_ladder, smith_quotients, verify_sweeps)
+    arrange, canonical_rotation, cli, mechanical_window, mechanical_word, oracle, smith_ladder,
+    smith_quotients, verify_sweeps)
 from mechwords.admissibility import _two_valued  # noqa: E402
 from mechwords.words import _as_bits, _lightest_window, _window_weights  # noqa: E402
 
@@ -194,15 +194,12 @@ def _weights(sep, low=None):
 
 
 def _oracle_grid(n_max, rng):
-    # every cell of verify's grid: brute_force_exists against criterion
+    # verify's grid alone: the search at each column's boundary against
+    # criterion on every cell
     def grid():
-        for n in range(2, n_max + 1):
-            for k in range(1, n):
-                for s in range(1, n):
-                    for t in range(min(k, s) + 1):
-                        query = AdmissibilityQuery(n, k, s, t)
-                        if brute_force_exists(query).exists != criterion(query):
-                            raise RuntimeError(f"grid disagrees at {query}")
+        _, failures = oracle._grid(n_max)
+        if failures:
+            raise RuntimeError(f"grid disagrees: {failures[0]}")
     return {}, grid
 
 

@@ -70,6 +70,9 @@ LEVELS_TESTS = (
     "tests/test_words.py::test_window_levels_match_prefix_sums_at_1e5",
     "tests/test_cli.py::test_check_verbose_wide_profiles_match_prefix_sums",
 )
+GRID_TESTS = ("tests/test_oracle.py::test_grid_walks_to_each_columns_boundary",
+              "tests/test_oracle.py::test_grid_asks_the_search_twice_per_column",
+              "tests/test_cli.py::test_verify_reports_failures_in_sweep_order")
 DIGITS_TESTS = ("tests/test_constructions.py::test_builders_in_digits_are_to_bits_of_letters",
                 "tests/test_constructions.py::test_builders_in_digits_at_large_n")
 
@@ -171,6 +174,19 @@ CATALOGUE = [
            "            continue\n", BALANCE_TESTS),
     Mutant("balance-scan-only-up-to-n", "oracle.py",
            "for m in range(1, 2 * n + 1):", "for m in range(1, n + 1):", BALANCE_TESTS),
+    # on the real search the walk up takes one refused step and the walk down
+    # never runs, so a stub search with boundaries around floor(k*s/n) shows
+    # both walks
+    Mutant("grid-search-no-upward-walk", "oracle.py",
+           "while best < min(k, s) and brute_force_exists(column[best + 1]).exists:\n"
+           "                        best += 1\n", "pass\n", GRID_TESTS),
+    Mutant("grid-search-no-downward-walk", "oracle.py",
+           "                    while best >= 0 and not brute_force_exists(column[best]).exists:\n"
+           "                        best -= 1\n", "", GRID_TESTS),
+    # floor(k*s/n) is criterion's answer, so only a patched criterion shows it
+    Mutant("grid-cells-against-floor", "oracle.py",
+           "if (t <= best) != criterion(query):", "if (t <= best) != (t <= k * s // n):",
+           GRID_TESTS),
     Mutant("excess-seed-flip-dropped", "admissibility.py",
            "        p ^= mask\n", "        pass\n", EXCESS_TESTS),
     Mutant("excess-rotation-by-s-minus-1", "admissibility.py",
