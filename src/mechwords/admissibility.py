@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .words import (
-    A, _as_bits, _check_quota, _check_slope, _check_window, _lightest_window, _window_weights,
-    parse_word)
+    A, _as_bits, _check_length, _check_quota, _check_slope, _check_window, _lightest_window,
+    _window_weights, parse_word)
 
 # digits of the packed excess word as the 0/1 bytes _two_valued returns
 _EXCESS = bytes.maketrans(b"01", b"\x00\x01")
@@ -102,22 +102,22 @@ def mechanical_window(n: int, k: int, m: int) -> WindowReport:
     more otherwise, so the start is the first such i (0 when n divides k*m).
     """
     _check_slope(n, k)
-    if m < 1:
-        raise ValueError(f"window length must be positive, got {m}")
+    _check_length(m)
     r = k * m % n
     return WindowReport(_first_hit(n - k, n, r, n - 1) if r else 0, m, k * m // n)
 
 
-def _two_valued(bits: str, k: int, s: int, head: int) -> tuple[int, bytes] | None:
-    """window_weight_profile(word, s) as (low, excess) when it is two-valued.
+def _two_valued(bits: str, k: int, s: int, head: int) -> tuple[int, int, int, bytes] | None:
+    """window_weight_profile(word, s) as (start, low, 1, excess) when two-valued.
 
     For a non-empty word as 0/1 digits (`_as_bits`) with k letters A, 1 <= s
     <= n, and head the weight of its first window; nothing is validated.
     When every window weighs low = floor(k*s/n) or low + 1, as on every
-    mechanical_word, the result is low and n bytes of 0/1 with weight i
-    equal to low + excess[i]; on any other word it is None. (The s*k letters
-    counted over all windows average k*s/n, so a profile whose weights differ
-    by at most one takes only the values low and low + 1.)
+    mechanical_word, excess is n bytes of 0/1 with weight i equal to low +
+    excess[i], and start its first 0: `words._lightest_window`'s shape with
+    top 1. On any other word it is None. (The s*k letters counted over all
+    windows average k*s/n, so such a profile takes only the values low and
+    low + 1, and some window weighs low.)
 
     With x the word as 0/1, weight[i+1] - weight[i] = x[i+s] - x[i], so
     excess[i+1] = excess[i] ^ y[i] with y = x ^ (x rotated left by s): the
@@ -157,7 +157,8 @@ def _two_valued(bits: str, k: int, s: int, head: int) -> tuple[int, bytes] | Non
         p ^= mask
     if y & (x ^ p):
         return None
-    return low, format(p, f"0{n}b").encode().translate(_EXCESS)
+    excess = format(p, f"0{n}b").encode().translate(_EXCESS)
+    return excess.find(0), low, 1, excess
 
 
 def _check_windows(word: str, s: int, t: int, leveled: bool
@@ -167,22 +168,15 @@ def _check_windows(word: str, s: int, t: int, leveled: bool
     The word, s and t are checked in check's first-error order (letters,
     empty word, s, then t) before any scan. digits are the word as 0/1 and
     k its letters A; start and weight locate its first lightest window of s
-    spots, whose weight check compares with t. A profile `_two_valued`
-    certifies comes with top 1 and its 0/1 excess bytes as levels; any other
-    word goes to `words._lightest_window`, which gives top and levels as it
-    documents, with leveled as given.
+    spots, whose weight check compares with t. They come with top and levels
+    from `_two_valued` (top 1, the excess bytes as levels) or, on any other
+    word, from `words._lightest_window` with leveled as given.
     """
     parse_word(word)
     _check_window("s", s, len(word))
     _check_quota(t)
     bits, k, head = _as_bits(word), word.count(A), word.count(A, 0, s)
-    two_valued = _two_valued(bits, k, s, head)
-    if two_valued:
-        # every window weighs low or low + 1, and they average k*s/n < low + 1,
-        # so the first light window is the lightest
-        weight, excess = two_valued
-        return bits, k, excess.find(0), weight, 1, excess
-    return bits, k, *_lightest_window(bits, s, head, leveled)
+    return bits, k, *(_two_valued(bits, k, s, head) or _lightest_window(bits, s, head, leveled))
 
 
 def is_admissible(word: str, s: int, t: int) -> bool:

@@ -15,8 +15,7 @@ import sys
 from typing import Sequence
 
 from .admissibility import (
-    AdmissibilityQuery, _check_windows, _two_valued, criterion, mechanical_window,
-    window_weight_profile)
+    AdmissibilityQuery, _check_windows, _two_valued, criterion, window_weight_profile)
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
 from .words import _as_bits, _check_slope, _check_window, mechanical_word
@@ -121,20 +120,19 @@ def cmd_plan(args) -> int:
     if profile is None:
         raise RuntimeError(f"the length-{query.s} window profile of "
                            f"mechanical_word({query.n}, {query.k}) is not two-valued")
-    low, excess = profile
-    witness = mechanical_window(query.n, query.k, query.s)
+    start, low, _, excess = profile
     record.update(verdict="admissible", word=word)
     if args.format == "machine":
         # json.dumps of the whole record, with the profile array spliced in as text
         head = json.dumps(record)[:-1]
-        tail = json.dumps({"witness_start": witness.start, "witness_weight": witness.weight})[1:]
+        tail = json.dumps({"witness_start": start, "witness_weight": low})[1:]
         print(f'{head}, "profile": [{_weights(low, 1, excess, ", ")}], {tail}')
         return EXIT_OK
     _emit(args, record, [
         f"ADMISSIBLE: nt = {nt} <= ks = {ks}",
         f"arrangement: {word}",
         f"window weights (s={query.s}): {_weights(low, 1, excess, ' ')}",
-        f"min window: start {witness.start}, weight {witness.weight}",
+        f"min window: start {start}, weight {low}",
     ])
     return EXIT_OK
 
@@ -204,12 +202,12 @@ def cmd_check(args) -> int:
             # rendered, and each of its distinct weights is rendered once
             table = {v: str(v) for v in range(weight, weight + top + 1)}
             weights = sep.join(map(table.__getitem__, window_weight_profile(word, s)))
+        if machine:
+            # json.dumps of the whole record, with the profile array spliced in as text
+            print(f'{json.dumps(record)[:-1]}, "profile": [{weights}]}}')
+            return EXIT_OK if admissible else EXIT_NEGATIVE
         lines.append(f"window weights (s={s}): {weights}")
-    if args.verbose and machine:
-        # json.dumps of the whole record, with the profile array spliced in as text
-        print(f'{json.dumps(record)[:-1]}, "profile": [{weights}]}}')
-    else:
-        _emit(args, record, lines)
+    _emit(args, record, lines)
     return EXIT_OK if admissible else EXIT_NEGATIVE
 
 

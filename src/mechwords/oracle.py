@@ -77,11 +77,11 @@ def _grid(n_top: int) -> tuple[int, list[str]]:
     Returns the cell count and a failure line per disagreeing cell, in cell
     order. A word whose lightest s-window holds t letters A holds t - 1 too,
     so the search's answer falls as t grows, and a column (n, k, s) answers
-    yes exactly for t <= best, the largest t it accepts. best is found by a
-    walk from floor(k*s/n): up while the search accepts, else down until it
-    does; the walk up goes past that bound, so a best above it is found. When
-    the theorem holds, a column costs two searches, a witness at best and an
-    exhaustive miss at best + 1.
+    yes exactly for t <= best, the largest t it accepts. best is found by two
+    walks from floor(k*s/n): down while the search refuses (to -1), then up
+    while it accepts the next t, past that bound if need be. When the theorem
+    holds, a column costs two searches, a witness at best and an exhaustive
+    miss at best + 1.
     """
     cells, failures = 0, []
     for n in range(2, n_top + 1):
@@ -89,13 +89,10 @@ def _grid(n_top: int) -> tuple[int, list[str]]:
             for s in range(1, n):
                 column = [AdmissibilityQuery(n, k, s, t) for t in range(min(k, s) + 1)]
                 best = k * s // n
-                if brute_force_exists(column[best]).exists:
-                    while best < min(k, s) and brute_force_exists(column[best + 1]).exists:
-                        best += 1
-                else:
+                while best >= 0 and not brute_force_exists(column[best]).exists:
                     best -= 1
-                    while best >= 0 and not brute_force_exists(column[best]).exists:
-                        best -= 1
+                while best < min(k, s) and brute_force_exists(column[best + 1]).exists:
+                    best += 1
                 for t, query in enumerate(column):
                     cells += 1
                     if (t <= best) != criterion(query):

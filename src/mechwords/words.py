@@ -21,7 +21,8 @@ _BYTES = bytes.maketrans(b"AB", b"\x01\x00")
 _FOREIGN = str.maketrans("", "", A + B)
 
 # the one input domain of every layer and the CLI: 1 <= k <= n letters A among
-# n spots, windows of 1..n spots, quotas t >= 0, non-empty words over {A, B}
+# n spots, windows of 1..n spots, factor lengths m >= 1 of the periodic word,
+# quotas t >= 0, non-empty words over {A, B}
 
 
 def _check_slope(n: int, k: int) -> None:
@@ -45,6 +46,11 @@ def _seeds(alphabet: str) -> tuple[str, str]:
 def _check_window(name: str, m: int, n: int) -> None:
     if not 1 <= m <= n:
         raise ValueError(f"{name} must be in 1..{n}, got {m}")
+
+
+def _check_length(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"factor length must be positive, got {m}")
 
 
 def _check_quota(t: int) -> None:
@@ -173,10 +179,10 @@ _LEVEL_CAP = 4 * 256 - 1
 
 def _step_keys(bits: str, s: int) -> tuple[bytearray, bytes]:
     # the word's 0/1 digits interleaved with those of its rotation by s, as
-    # ASCII, with "00" pairs (steps of 0) up to a multiple of 4 steps; and the
+    # ASCII, with "00" pairs (steps of 0) up to a multiple of 64 steps; and the
     # same parsed as one int, one byte per 4-step block
     n = len(bits)
-    pad = -n % 4
+    pad = -n % 64
     digits = bytearray(b"0") * (2 * (n + pad))
     digits[0:2 * n:2] = bits.encode()
     digits[1:2 * n:2] = (bits[s:] + bits[:s]).encode()
@@ -185,11 +191,8 @@ def _step_keys(bits: str, s: int) -> tuple[bytearray, bytes]:
 
 def _merged(sums: bytes, lows: bytes) -> tuple[bytes, bytes]:
     # blocks 2j and 2j + 1 as one block, on byte lanes holding values plus
-    # 64: sum = sa + sb and low = min(la, sa + lb), an odd count first evened
-    # by a zero-step block (lane bounds in _lightest_window's docstring)
-    if len(sums) % 2:
-        sums += b"\x40"
-        lows += b"\x40"
+    # 64: sum = sa + sb and low = min(la, sa + lb), for an even count of
+    # blocks (lane bounds in _lightest_window's docstring)
     half = len(sums) // 2
     ones = int.from_bytes(b"\x01" * half, "big")
     sa, sb = int.from_bytes(sums[0::2], "big"), int.from_bytes(sums[1::2], "big")
@@ -229,10 +232,10 @@ def _lightest_window(bits: str, s: int, head: int, leveled: bool = False
     lightest window lies in that block, and a walk of at most 64 steps from
     its first spot finds it, on both results.
 
-    Padding. The steps past n and the zero-step block that evens an odd
-    count before a merge come after every real step, so their prefixes
-    equal the sum of all n steps, 0, the prefix of window 0: the first
-    lightest window is never among them, and weight and top hold with them.
+    Padding. Zero steps fill the last 64-step block, so every merge pairs
+    an even count of blocks. They come after every real step, so their
+    prefixes equal the sum of all n steps, 0, the prefix of window 0: the
+    first lightest window is never among them, and weight and top hold.
 
     Lane bounds. A block of m steps has sum in -m..m and low in -(m-1)..0,
     so at m <= 64 every stored lane (value plus 64) lies in 0..128. Merging
@@ -255,8 +258,7 @@ def _lightest_window(bits: str, s: int, head: int, leveled: bool = False
     plus 64, so none reaches top + 96 < 2**16 and none carries; taking 64
     off each leaves a first weight minus the lightest, so none borrows. A
     block's lowest window minus the lightest and a level are in 0..top too,
-    below 256**width. The padding's blocks and windows are dropped on the
-    way down.
+    below 256**width. The padding's windows are dropped at the end.
     """
     n = len(bits)
     digits, keys = _step_keys(bits, s)
@@ -294,7 +296,7 @@ def _lightest_window(bits: str, s: int, head: int, leveled: bool = False
         children = bytearray(4 * parents)
         children[0::4], children[1::4] = rel[0::2], rel[1::2]
         children[2::4], children[3::4] = odds[0::2], odds[1::2]
-        rel = children[:2 * len(sums)]
+        rel = children
     blocks = len(keys)
     floors = bytearray(2 * blocks)
     floors[1::2] = keys.translate(_LOW4)
@@ -323,8 +325,7 @@ def check_balance(period: str, m: int) -> BalanceCheck:
     periodic word, not a window of the n-spot circle, so any m >= 1 is taken.
     """
     parse_word(period)
-    if m < 1:
-        raise ValueError("factor length must be positive")
+    _check_length(m)
     n, k = len(period), period.count(A)
     low, high = (m * k) // n, -(-m * k // n)
     weights = _window_weights(period, m)

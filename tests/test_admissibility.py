@@ -68,14 +68,16 @@ def two_valued(word, s):
 
 
 def check_two_valued(word, s, weights):
-    # _two_valued gives the profile exactly when its weights differ by at most one
+    # _two_valued gives the profile exactly when its weights differ by at most
+    # one, with top 1 and the first lightest window as its start
     result = two_valued(word, s)
     if max(weights) - min(weights) > 1:
         assert result is None, (word, s)
         return False
-    low, excess = result
-    assert len(excess) == len(word) and set(excess) <= {0, 1}
+    start, low, top, excess = result
+    assert len(excess) == len(word) and set(excess) <= {0, 1} and top == 1
     assert [low + e for e in excess] == weights, (word, s)
+    assert start == weights.index(min(weights)), (word, s)
     return True
 
 
@@ -117,7 +119,7 @@ def test_two_valued_seed_test_rejects_before_parsing(monkeypatch):
     assert two_valued("AABBBBBB", 2) is None and parsed == []
     assert two_valued("BBAAAAAA", 2) is None and parsed == []
     word = mechanical_word(8, 3)
-    low, excess = two_valued(word, 4)
+    _, low, _, excess = two_valued(word, 4)
     assert [low + e for e in excess] == naive.windows(word, 4) and parsed == [_as_bits(word)]
 
 
@@ -135,7 +137,7 @@ def test_two_valued_matches_ceiling_formula_at_large_n():
         k, s = rng.randint(1, n), rng.randint(1, n)
         r = rng.randrange(n) if index % 2 else 0
         word = mechanical_word(n, k)
-        low, excess = two_valued(word[r:] + word[:r], s)
+        _, low, _, excess = two_valued(word[r:] + word[:r], s)
         assert [low + e for e in excess] == ceiling_weights(n, k, s, range(r, r + n)), (
             n, k, s, r)
 

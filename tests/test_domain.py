@@ -15,6 +15,7 @@ from mechwords import (
     AdmissibilityQuery,
     arrange,
     brute_force_exists,
+    check_balance,
     criterion,
     euclid_trace,
     is_admissible,
@@ -66,6 +67,21 @@ def test_bad_check_refused_alike_in_library_and_cli(capsys, word, s, t, message)
         is_admissible(word, s, t)
     assert str(excinfo.value) == message
     assert run(capsys, "check", word, str(s), str(t)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("m", [0, -1, -10**20])
+def test_bad_factor_length_refused_alike(m):
+    # a factor length of the periodic word is any m >= 1; both library calls
+    # that take one refuse the rest with one message, after their pair or
+    # word. No CLI command reaches either check
+    for call in (lambda: mechanical_window(7, 3, m), lambda: check_balance("ABABABB", m)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"factor length must be positive, got {m}"
+    with pytest.raises(ValueError, match="^slope k/n needs 0 < k <= n, got k=0, n=7$"):
+        mechanical_window(7, 0, m)
+    with pytest.raises(ValueError, match="^word must be non-empty$"):
+        check_balance("", m)
 
 
 def test_full_pair_constructions_answer():

@@ -4,11 +4,13 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 import naive
 from mechwords import check_balance, mechanical_word, parse_word, to_bits
-from mechwords.words import _as_bits, _lightest_window, _window_weights
+from mechwords.words import (
+    _DROP4, _LOW4, _PEAK4, _SUM4, _as_bits, _lightest_window, _merged, _window_weights)
 
 
 # mechanical-word periods frozen after recomputation from the prefix-count
@@ -144,8 +146,8 @@ def test_lightest_window_matches_enumeration_on_every_small_word():
 
 
 def test_lightest_window_at_every_residue_mod_64():
-    # n = 64q + r for every r, so every count of trailing steps and every
-    # parity of the block count at each merge is met; s at both ends and drawn
+    # n = 64q + r for every r, so every count of zero steps that pads the last
+    # 64-step block is met; s at both ends and drawn
     rng = random.Random(29)
     for r in range(64):
         for q in (0, 1, 2, 5):
@@ -180,6 +182,33 @@ def test_lightest_window_matches_prefix_sums_at_1e5():
         assert lightest_window(word, s) == naive.lightest_window_by_prefix_sums(word, s), s
 
 
+def byte_lanes(*blocks):
+    return [np.frombuffer(block, np.uint8).astype(np.int64) for block in blocks]
+
+
+@pytest.mark.parametrize("sums4, lows4", [(_SUM4, _LOW4), (_DROP4, _PEAK4)],
+                         ids=["sum-low", "drop-peak"])
+def test_merged_on_every_lane_pair(sums4, lows4):
+    # every (sum, low) pair, stored plus 64, that a block can hold at 4 steps,
+    # then at 8, 16 and 32, built upward from the 4-step tables and kept as
+    # sum * 256 + low: every ordered pair of them is one pair of lanes of a
+    # single _merged call, and each merged lane must be the block rule's. No
+    # word is built, so lanes that no word meets are checked too
+    sums, lows = byte_lanes(sums4, lows4)
+    codes = np.unique(sums * 256 + lows)
+    counts = []
+    for _ in range(4):
+        a, b = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
+        sa, la, sb, lb = a >> 8, a & 255, b >> 8, b & 255
+        counts.append(len(a))
+        sums, lows = _merged(np.stack([sa, sb], axis=1).astype(np.uint8).tobytes(),
+                             np.stack([la, lb], axis=1).astype(np.uint8).tobytes())
+        sums, lows = byte_lanes(sums, lows)
+        assert (sums == sa + sb - 64).all() and (lows == np.minimum(la, sa + lb - 64)).all()
+        codes = np.unique(sums * 256 + lows)
+    assert counts == [324, 2704, 28224, 350464]
+
+
 def window_levels(word, s):
     # the kernel on a word over {A, B} with levels asked for, its levels read
     # as ints; None in their place past its cap
@@ -207,8 +236,8 @@ def test_window_levels_match_enumeration_on_every_small_word():
 
 
 def test_window_levels_at_every_residue_mod_64():
-    # every count of trailing steps and every parity of the block count at
-    # each merge, so every split on the way down drops its padding
+    # every count of zero steps that pads the last 64-step block, whose
+    # windows the levels must drop
     rng = random.Random(30)
     for r in range(64):
         for q in (1, 2, 5):

@@ -186,7 +186,7 @@ def _weights(sep, low=None):
     # low fixed at 999 takes the padding delete that low + 1 = 10**j needs
     def setup(n, rng):
         k, s = _slope(n, rng), rng.randint(1, n)
-        drawn, excess = _two_valued_call(mechanical_word(n, k), k, s)()
+        _, drawn, _, excess = _two_valued_call(mechanical_word(n, k), k, s)()
         shown = drawn if low is None else low
         return ({"k": k, "s": s, "low": shown, "sep": sep},
                 lambda: cli._weights(shown, 1, excess, sep))

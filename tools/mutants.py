@@ -73,6 +73,7 @@ LEVELS_TESTS = (
 GRID_TESTS = ("tests/test_oracle.py::test_grid_walks_to_each_columns_boundary",
               "tests/test_oracle.py::test_grid_asks_the_search_twice_per_column",
               "tests/test_cli.py::test_verify_reports_failures_in_sweep_order")
+MERGE_TESTS = ("tests/test_words.py::test_merged_on_every_lane_pair",)
 DIGITS_TESTS = ("tests/test_constructions.py::test_builders_in_digits_are_to_bits_of_letters",
                 "tests/test_constructions.py::test_builders_in_digits_at_large_n")
 
@@ -174,15 +175,15 @@ CATALOGUE = [
            "            continue\n", BALANCE_TESTS),
     Mutant("balance-scan-only-up-to-n", "oracle.py",
            "for m in range(1, 2 * n + 1):", "for m in range(1, n + 1):", BALANCE_TESTS),
-    # on the real search the walk up takes one refused step and the walk down
-    # never runs, so a stub search with boundaries around floor(k*s/n) shows
-    # both walks
+    # on the real search the walk down stops at its first step and the walk up
+    # takes one refused step, so a stub search with boundaries around
+    # floor(k*s/n) shows both walks
     Mutant("grid-search-no-upward-walk", "oracle.py",
-           "while best < min(k, s) and brute_force_exists(column[best + 1]).exists:\n"
-           "                        best += 1\n", "pass\n", GRID_TESTS),
+           "                while best < min(k, s) and brute_force_exists(column[best + 1]).exists:\n"
+           "                    best += 1\n", "", GRID_TESTS),
     Mutant("grid-search-no-downward-walk", "oracle.py",
-           "                    while best >= 0 and not brute_force_exists(column[best]).exists:\n"
-           "                        best -= 1\n", "", GRID_TESTS),
+           "                while best >= 0 and not brute_force_exists(column[best]).exists:\n"
+           "                    best -= 1\n", "", GRID_TESTS),
     # floor(k*s/n) is criterion's answer, so only a patched criterion shows it
     Mutant("grid-cells-against-floor", "oracle.py",
            "if (t <= best) != criterion(query):", "if (t <= best) != (t <= k * s // n):",
@@ -224,16 +225,21 @@ CATALOGUE = [
            ("tests/test_cli.py::test_verify_small",)),
     Mutant("check-witness-first-heavy-byte", "admissibility.py",
            "excess.find(0)", "excess.find(1)",
-           ("tests/test_cli.py::test_check_witness_is_first_minimum_window",)),
+           (*EXCESS_TESTS, "tests/test_cli.py::test_check_witness_is_first_minimum_window")),
     # the walk still finds the first lightest window of the block it enters,
     # so only a tie between two 64-step blocks shows the last one taken
     Mutant("check-witness-last-minimum", "words.py",
            "block = lightest.index(min(lightest))",
            "block = len(lightest) - 1 - lightest[::-1].index(min(lightest))",
            LIGHTEST_TESTS),
-    Mutant("lightest-odd-count-padding-dropped", "words.py",
-           '    if len(sums) % 2:\n        sums += b"\\x40"\n'
-           '        lows += b"\\x40"\n', "", (*LIGHTEST_TESTS, *LEVELS_TESTS)),
+    # a count of 4-step blocks that is not a multiple of 16 is odd at some merge
+    Mutant("lightest-pad-to-4", "words.py",
+           "pad = -n % 64", "pad = -n % 4",
+           ("tests/test_words.py::test_lightest_window_at_every_residue_mod_64",
+            "tests/test_words.py::test_window_levels_at_every_residue_mod_64")),
+    # a lane test with no word in it
+    Mutant("merge-compare-bit-moved", "words.py",
+           "(la | ones << 7)", "(la | ones << 6)", MERGE_TESTS),
     Mutant("lightest-low-without-block-sum", "words.py",
            "v = sa + lb - (ones << 6)", "v = lb", LIGHTEST_TESTS),
     Mutant("lightest-walk-one-block-late", "words.py",
