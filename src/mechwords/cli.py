@@ -25,8 +25,8 @@ EXIT_INPUT_ERROR = 1
 EXIT_NEGATIVE = 2
 
 # largest n_max verify takes: the equivalence and balance sweeps build and
-# check about n_max**3 / 3 letters, and a fresh `verify 200` takes about
-# 0.6 s (0.2 s at 50 and at 100; Python 3.11, shared 2-core host)
+# check about n_max**3 / 3 letters; a fresh `verify` takes about 0.10, 0.16
+# and 0.50 s at 50, 100 and 200 (median of 5 processes, Python 3.11, 2 cores)
 VERIFY_CAP = 200
 # largest n that generate and an admissible plan build a word for: plan peaks
 # at about 17 bytes per letter above the interpreter's 15 MB in text and 21 in

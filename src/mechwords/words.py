@@ -155,20 +155,20 @@ def _block_tables() -> tuple[bytes, ...]:
     # a 4-step block keyed by the byte x0 r0 x1 r1 x2 r2 x3 r3 (spot by spot
     # from the top: the word's letter, then the letter s spots on, as 1/0),
     # whose step j is r_j - x_j, so the pairs 00, 01, 10, 11 step 0, 1, -1, 0.
-    # Its prefix p_j is the sum of the steps before step j (p_0 = 0). Tables:
-    # the step sum and the lowest prefix, and the same two for the negated
-    # steps (minus the sum, minus the highest prefix), each plus 64; then
-    # p_j minus the lowest prefix, in 0..3, for each j
+    # Its prefix p_j is the sum of the steps before step j (p_0 = 0), so its
+    # window j lies p_j above its first. Tables: the step sum and the lowest
+    # prefix, the same two for the negated steps (minus the sum, minus the
+    # highest prefix), and p_1, p_2 and p_3, each plus 64
     values = []
     for a, b, c, d in product((0, 1, -1, 0), repeat=4):
         p1, p2, p3 = a, a + b, a + b + c
         low, high = min(0, p1, p2, p3), max(0, p1, p2, p3)
         values += (p3 + d + 64, low + 64, 64 - p3 - d, 64 - high,
-                   -low, p1 - low, p2 - low, p3 - low)
-    return tuple(bytes(values[i::8]) for i in range(8))
+                   p1 + 64, p2 + 64, p3 + 64)
+    return tuple(bytes(values[i::7]) for i in range(7))
 
 
-_SUM4, _LOW4, _DROP4, _PEAK4, *_RISE4 = _block_tables()
+_SUM4, _LOW4, _DROP4, _PEAK4, *_PREFIX4 = _block_tables()
 # largest level _lightest_window gives as level bytes. Each band of 256 levels
 # past the first costs the renderer one masked merge per column: at n = 10**5
 # the kernel and the renderer take about 0.65 of the window list's time at 4
@@ -187,6 +187,28 @@ def _step_keys(bits: str, s: int) -> tuple[bytearray, bytes]:
     digits[0:2 * n:2] = bits.encode()
     digits[1:2 * n:2] = (bits[s:] + bits[:s]).encode()
     return digits, int(digits, 2).to_bytes((n + pad) // 4, "big")
+
+
+def _lifted(rel: bytes, *lanes: bytes) -> list[bytes]:
+    # rel's 16-bit lanes plus each byte string's lanes, whose bytes hold
+    # values plus 64: one big-int add per byte string, on a base that takes
+    # the 64 off every lane once (lane bounds in _lightest_window's docstring)
+    size = len(rel)
+    base = int.from_bytes(rel, "big") - int.from_bytes(b"\x00\x40" * (size // 2), "big")
+    wide, lifted = bytearray(size), []
+    for lane in lanes:
+        wide[1::2] = lane
+        lifted.append((base + int.from_bytes(wide, "big")).to_bytes(size, "big"))
+    return lifted
+
+
+def _interleaved(*lanes: bytes) -> bytearray:
+    # the 16-bit lanes of equally long byte strings, interleaved lane by lane
+    step = 2 * len(lanes)
+    out = bytearray(len(lanes) * len(lanes[0]))
+    for j, lane in enumerate(lanes):
+        out[2 * j::step], out[2 * j + 1::step] = lane[0::2], lane[1::2]
+    return out
 
 
 def _merged(sums: bytes, lows: bytes) -> tuple[bytes, bytes]:
@@ -249,16 +271,15 @@ def _lightest_window(bits: str, s: int, head: int, leveled: bool = False
     The levels. The blocks are split back down to 4 steps on 16-bit lanes
     of first weight minus the lightest: block 2j starts where its parent j
     does, and block 2j + 1 there plus the sum of block 2j, kept from the way
-    up. A 4-step block's lowest window is its first weight plus its lowest
-    prefix, and its window j lies p_j minus that prefix (its rise, in 0..3)
-    above it: so the levels are one lane add, of each block's lowest window
-    minus the lightest, written to the lanes of its 4 windows, and the rise
-    of each window from one table per j. Every lane on the way down holds a
-    first weight minus the lightest, in 0..top, plus a sum in -32..32 stored
-    plus 64, so none reaches top + 96 < 2**16 and none carries; taking 64
-    off each leaves a first weight minus the lightest, so none borrows. A
-    block's lowest window minus the lightest and a level are in 0..top too,
-    below 256**width. The padding's windows are dropped at the end.
+    up. A 4-step block's window j lies p_j above its first (one table per j
+    from 1 to 3), so its levels are its lane and that lane plus p_1, p_2 and
+    p_3. Each step down and the last step is the one lane add of `_lifted`:
+    a lane holds a weight minus the lightest, in 0..top (top <= 1023), plus
+    a byte in 32..96 (the sum of a block of at most 32 steps, or p_j, plus
+    64), so it stays below top + 96 < 2**16 and never carries; after taking
+    the 64 off it is again a weight minus the lightest, at least 0, so it
+    never borrows. Below 256 levels each level is its lane's low byte. The
+    padding's windows are dropped at the end.
     """
     n = len(bits)
     digits, keys = _step_keys(bits, s)
@@ -288,30 +309,9 @@ def _lightest_window(bits: str, s: int, head: int, leveled: bool = False
         return i, weight, top, None
     rel = struct.pack(f">{len(starts)}H", *map(sub, starts, repeat(weight)))
     for sums in reversed(halves):
-        parents = len(rel) // 2
-        evens = bytearray(2 * parents)
-        evens[1::2] = sums[0::2]
-        odds = (int.from_bytes(rel, "big") + int.from_bytes(evens, "big")
-                - int.from_bytes(b"\x00\x40" * parents, "big")).to_bytes(2 * parents, "big")
-        children = bytearray(4 * parents)
-        children[0::4], children[1::4] = rel[0::2], rel[1::2]
-        children[2::4], children[3::4] = odds[0::2], odds[1::2]
-        rel = children
-    blocks = len(keys)
-    floors = bytearray(2 * blocks)
-    floors[1::2] = keys.translate(_LOW4)
-    bases = (int.from_bytes(rel, "big") + int.from_bytes(floors, "big")
-             - int.from_bytes(b"\x00\x40" * blocks, "big")).to_bytes(2 * blocks, "big")
-    width = 1 if top < 256 else 2
-    wide, rises = bytearray(4 * width * blocks), bytearray(4 * width * blocks)
-    for j, table in enumerate(_RISE4):
-        # the last byte of window j's lane, then the one before it
-        for h in range(width):
-            wide[width * (j + 1) - 1 - h::4 * width] = bases[1 - h::2]
-        rises[width * (j + 1) - 1::4 * width] = keys.translate(table)
-    levels = (int.from_bytes(wide, "big")
-              + int.from_bytes(rises, "big")).to_bytes(len(wide), "big")
-    return i, weight, top, levels[:width * n]
+        rel = _interleaved(rel, *_lifted(rel, sums[0::2]))
+    levels = _interleaved(rel, *_lifted(rel, *map(keys.translate, _PREFIX4)))
+    return i, weight, top, levels[1:2 * n:2] if top < 256 else levels[:2 * n]
 
 
 def check_balance(period: str, m: int) -> BalanceCheck:

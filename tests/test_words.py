@@ -10,7 +10,8 @@ import pytest
 import naive
 from mechwords import check_balance, mechanical_word, parse_word, to_bits
 from mechwords.words import (
-    _DROP4, _LOW4, _PEAK4, _SUM4, _as_bits, _lightest_window, _merged, _window_weights)
+    _DROP4, _LOW4, _PEAK4, _PREFIX4, _SUM4, _as_bits, _interleaved, _lifted, _lightest_window,
+    _merged, _window_weights)
 
 
 # mechanical-word periods frozen after recomputation from the prefix-count
@@ -207,6 +208,27 @@ def test_merged_on_every_lane_pair(sums4, lows4):
         assert (sums == sa + sb - 64).all() and (lows == np.minimum(la, sa + lb - 64)).all()
         codes = np.unique(sums * 256 + lows)
     assert counts == [324, 2704, 28224, 350464]
+
+
+def test_lifted_on_every_lane_pair():
+    # every (lane, byte) pair the levels path adds: a lane holds a weight
+    # minus the lightest, 0..1023 up to the cap, and a byte the sum of a block
+    # of at most 32 steps or a prefix p_j, plus 64, so 32..96; a level is never
+    # negative, so only pairs with lane + byte >= 64 occur. One _lifted call
+    # takes them all, and each lane must be lane + byte - 64. No word is built,
+    # so pairs that no word meets are checked too
+    assert set(b"".join(_PREFIX4)) == set(range(61, 68))
+    rel, byte = (grid.ravel() for grid in np.meshgrid(np.arange(1024), np.arange(32, 97)))
+    kept = rel + byte >= 64
+    rel, byte = rel[kept], byte[kept]
+    assert len(rel) == 66032
+    lanes = rel.astype(">u2").tobytes()
+    (lifted,) = _lifted(lanes, byte.astype(np.uint8).tobytes())
+    assert (np.frombuffer(lifted, ">u2") == rel + byte - 64).all()
+    # the last step's layout: four byte strings, 16-bit lane by lane
+    strings = (lanes, lifted, lifted[::-1], lanes[::-1])
+    assert _interleaved(*strings) == b"".join(
+        string[i:i + 2] for i in range(0, len(lanes), 2) for string in strings)
 
 
 def window_levels(word, s):

@@ -227,6 +227,7 @@ TABLE = [
     ("words._lightest_window", 10**5, _lightest_window_row),
     ("words._lightest_window", 10**3, _lightest_window_row),
     ("words._window_levels + cli._weights", 10**5, _levels_row),
+    ("words._window_levels + cli._weights", 10**3, _levels_row),
     ("words._window_levels + cli._weights two bands", 10**5, _levels_two_bands_row),
     ("admissibility._two_valued", 10**6, _excess),
     ("admissibility._two_valued rotated", 10**5, _excess_rotated),

@@ -74,6 +74,7 @@ GRID_TESTS = ("tests/test_oracle.py::test_grid_walks_to_each_columns_boundary",
               "tests/test_oracle.py::test_grid_asks_the_search_twice_per_column",
               "tests/test_cli.py::test_verify_reports_failures_in_sweep_order")
 MERGE_TESTS = ("tests/test_words.py::test_merged_on_every_lane_pair",)
+LIFT_TESTS = ("tests/test_words.py::test_lifted_on_every_lane_pair",)
 DIGITS_TESTS = ("tests/test_constructions.py::test_builders_in_digits_are_to_bits_of_letters",
                 "tests/test_constructions.py::test_builders_in_digits_at_large_n")
 
@@ -250,11 +251,11 @@ CATALOGUE = [
     Mutant("lightest-lane-tie-flipped", "words.py",
            "((la | ones << 7) - v)", "((la | ones << 7) - v - ones)", LIGHTEST_TESTS,
            "equivalent"),
-    Mutant("levels-rise-table-off-by-one", "words.py",
-           "-low, p1 - low, p2 - low, p3 - low)",
-           "1 - low, p1 - low + 1, p2 - low + 1, p3 - low + 1)", LEVELS_TESTS),
+    Mutant("levels-prefix-table-off-by-one", "words.py",
+           "p1 + 64, p2 + 64, p3 + 64", "p1 + 65, p2 + 65, p3 + 65", LEVELS_TESTS),
     Mutant("levels-odd-block-after-odd-sum", "words.py",
-           "evens[1::2] = sums[0::2]", "evens[1::2] = sums[1::2]", LEVELS_TESTS),
+           "_lifted(rel, sums[0::2])", "_lifted(rel, sums[1::2])", LEVELS_TESTS),
+    Mutant("lift-offset-moved", "words.py", r'b"\x00\x40"', r'b"\x00\x3f"', LIFT_TESTS),
     Mutant("levels-top-from-lows", "words.py",
            "top = max(map(sub, starts, peaks)) + 64 - weight",
            "top = max(map(add, starts, lows)) - 64 - weight", LEVELS_TESTS),
