@@ -11,11 +11,14 @@ integer arithmetic alone. `_two_valued` gives the whole profile of any word
 whose windows weigh that floor or one more as the floor plus one 0/1 byte per
 window: the parity prefix of the word XOR its rotation, computed on the word
 packed into one int and certified by one more big-int test, with no window
-summed. `_check_windows` is `check`'s whole chain: it validates the
-arguments, tries `_two_valued`, and on every other word takes the lightest
-window from `words._lightest_window`, 64-step block minima, which for
-`check --verbose` also gives the whole profile as one or two level bytes a
-window above the lightest; neither kernel makes a Python int per window.
+summed. `_plan_windows` is `plan`'s whole chain on an admissible query: it
+builds the mechanical word and returns `_two_valued`'s profile of it,
+raising if the kernel refuses. `_check_windows` is `check`'s whole chain: it
+validates the arguments, tries `_two_valued`, and on every other word takes
+the lightest window from `words._lightest_window`, 64-step block minima,
+which for `check --verbose` also gives the whole profile as one or two level
+bytes a window above the lightest; neither kernel makes a Python int per
+window. The CLI only renders what these two return.
 The list of all n weights is summed for `window_weight_profile`, for
 `is_admissible` and `discrepancy` (below about 300 letters, the oracle's
 sizes, the list is the faster), and for `check --verbose` on a profile that
@@ -27,7 +30,7 @@ from typing import NamedTuple
 
 from .words import (
     A, _as_bits, _check_length, _check_quota, _check_slope, _check_window, _lightest_window,
-    _window_weights, parse_word)
+    _window_weights, mechanical_word, parse_word)
 
 # digits of the packed excess word as the 0/1 bytes _two_valued returns
 _EXCESS = bytes.maketrans(b"01", b"\x00\x01")
@@ -177,6 +180,24 @@ def _check_windows(word: str, s: int, t: int, leveled: bool
     _check_quota(t)
     bits, k, head = _as_bits(word), word.count(A), word.count(A, 0, s)
     return bits, k, *(_two_valued(bits, k, s, head) or _lightest_window(bits, s, head, leveled))
+
+
+def _plan_windows(query: AdmissibilityQuery, alphabet: str) -> tuple[str, int, int, int, bytes]:
+    """plan's witness: (word, start, low, 1, excess) for an admissible query.
+
+    word is mechanical_word(n, k) in alphabet ("AB" or "01"); its windows of
+    s spots weigh low = floor(k*s/n) plus their 0/1 excess byte, and start is
+    the first lightest one, as `_two_valued` gives them. The word is
+    balanced and its first s letters hold ceil(k*s/n) letters A, so the
+    kernel refusing it is a fault of the program: that raises RuntimeError.
+    """
+    n, k, s = query.n, query.k, query.s
+    word = mechanical_word(n, k, alphabet=alphabet)
+    profile = _two_valued(word if alphabet == "01" else _as_bits(word), k, s, -(-k * s // n))
+    if profile is None:
+        raise RuntimeError(f"the length-{s} window profile of "
+                           f"mechanical_word({n}, {k}) is not two-valued")
+    return word, *profile
 
 
 def is_admissible(word: str, s: int, t: int) -> bool:

@@ -15,10 +15,10 @@ import sys
 from typing import Sequence
 
 from .admissibility import (
-    AdmissibilityQuery, _check_windows, _two_valued, criterion, window_weight_profile)
+    AdmissibilityQuery, _check_windows, _plan_windows, criterion, window_weight_profile)
 from .constructions import arrange, euclid_trace, smith_ladder, smith_quotients, symbol_stages
 from .oracle import verify_sweeps
-from .words import _as_bits, _check_slope, _check_window, mechanical_word
+from .words import _check_slope, _check_window, mechanical_word
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -50,6 +50,13 @@ def _emit(args, record: dict, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _spliced(record: dict, weights: str) -> str:
+    # json.dumps of the record, whose "profile" is None, with the rendered
+    # profile array spliced in as text where the null stands
+    head, _, tail = json.dumps(record).partition('"profile": null')
+    return f'{head}"profile": [{weights}]{tail}'
 
 
 def _weights(low: int, top: int, levels: bytes, sep: str) -> str:
@@ -112,21 +119,13 @@ def cmd_plan(args) -> int:
         return EXIT_NEGATIVE
     _check_word_cap(query.n)
     # --canonical is a no-op: the mechanical word is its least rotation
-    word = mechanical_word(query.n, query.k, alphabet=args.alphabet)
-    bits = word if args.alphabet == "01" else _as_bits(word)
-    # the word is balanced, so each window weighs low + its 0/1 excess byte;
-    # its first s letters hold ceil(k*s/n) letters A
-    profile = _two_valued(bits, query.k, query.s, -(-ks // query.n))
-    if profile is None:
-        raise RuntimeError(f"the length-{query.s} window profile of "
-                           f"mechanical_word({query.n}, {query.k}) is not two-valued")
-    start, low, _, excess = profile
+    word, start, low, _, excess = _plan_windows(query, args.alphabet)
     record.update(verdict="admissible", word=word)
     if args.format == "machine":
-        # json.dumps of the whole record, with the profile array spliced in as text
-        head = json.dumps(record)[:-1]
-        tail = json.dumps({"witness_start": start, "witness_weight": low})[1:]
-        print(f'{head}, "profile": [{_weights(low, 1, excess, ", ")}], {tail}')
+        # the rendered profile is the call's argument, so it is freed before
+        # the line prints
+        record.update(profile=None, witness_start=start, witness_weight=low)
+        print(_spliced(record, _weights(low, 1, excess, ", ")))
         return EXIT_OK
     _emit(args, record, [
         f"ADMISSIBLE: nt = {nt} <= ks = {ks}",
@@ -203,8 +202,7 @@ def cmd_check(args) -> int:
             table = {v: str(v) for v in range(weight, weight + top + 1)}
             weights = sep.join(map(table.__getitem__, window_weight_profile(word, s)))
         if machine:
-            # json.dumps of the whole record, with the profile array spliced in as text
-            print(f'{json.dumps(record)[:-1]}, "profile": [{weights}]}}')
+            print(_spliced(record | {"profile": None}, weights))
             return EXIT_OK if admissible else EXIT_NEGATIVE
         lines.append(f"window weights (s={s}): {weights}")
     _emit(args, record, lines)

@@ -123,6 +123,27 @@ def test_two_valued_seed_test_rejects_before_parsing(monkeypatch):
     assert [low + e for e in excess] == naive.windows(word, 4) and parsed == [_as_bits(word)]
 
 
+def test_plan_windows_is_the_mechanical_words_profile(monkeypatch):
+    # plan's chain with no CLI: the word in either alphabet, every weight as
+    # low + its excess byte, the first lightest window as start, and top 1
+    for n in range(1, 15):
+        for k in range(1, n + 1):
+            letters = mechanical_word(n, k)
+            for s in range(1, n + 1):
+                query = AdmissibilityQuery(n, k, s, 0)
+                weights = naive.windows(letters, s)
+                for alphabet in ("AB", "01"):
+                    word, start, low, top, excess = admissibility._plan_windows(query, alphabet)
+                    assert word == mechanical_word(n, k, alphabet=alphabet), (query, alphabet)
+                    assert [low + e for e in excess] == weights, (query, alphabet)
+                    assert (start, top) == (naive.lightest_window(letters, s)[0], 1), query
+    # a profile the kernel refuses is a fault of the program
+    monkeypatch.setattr(admissibility, "_two_valued", lambda bits, k, s, head: None)
+    message = r"^the length-3 window profile of mechanical_word\(10, 4\) is not two-valued$"
+    with pytest.raises(RuntimeError, match=message):
+        admissibility._plan_windows(AdmissibilityQuery(10, 4, 3, 1), "AB")
+
+
 def ceiling_weights(n, k, m, starts):
     # window weights of the slope-k/n word from the ceiling formula alone:
     # the window from i holds ceil(k*(i+m)/n) - ceil(k*i/n) letters A

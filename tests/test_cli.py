@@ -644,7 +644,7 @@ def test_plan_in_digits_translates_no_word(capsys, monkeypatch):
     # under --alphabet 01 plan builds its word in digits, so no word is
     # translated; under AB the word is translated once, for the kernel
     translated = []
-    monkeypatch.setattr(cli, "_as_bits",
+    monkeypatch.setattr(admissibility, "_as_bits",
                         lambda word: translated.append(word) or words._as_bits(word))
     for n, k, s in ((7, 3, 5), (12, 12, 5), (1000, 382, 17), (1001, 1, 1000)):
         word = words.mechanical_word(n, k)
@@ -665,7 +665,7 @@ def test_plan_in_digits_translates_no_word(capsys, monkeypatch):
 def test_plan_stops_on_a_profile_the_kernel_refuses(capsys, monkeypatch):
     # a mechanical word whose profile the kernel did not certify is a fault of
     # the program, not of the input: it raises rather than exiting 1
-    monkeypatch.setattr(cli, "_two_valued", lambda bits, k, s, head: None)
+    monkeypatch.setattr(admissibility, "_two_valued", lambda bits, k, s, head: None)
     message = r"^the length-3 window profile of mechanical_word\(10, 4\) is not two-valued$"
     with pytest.raises(RuntimeError, match=message):
         main(["plan", "10", "4", "3", "1"])

@@ -134,6 +134,19 @@ def test_cli_has_one_input_error_path():
     assert handlers == [("main", "ValueError")]
 
 
+def test_cli_only_renders():
+    # the CLI takes from the library its public names, the domain checks and
+    # one chain entry per verdict command; every kernel stays behind those
+    allowed = {"_check_slope", "_check_window", "_check_windows", "_plan_windows"}
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names]
+    assert imported
+    private = [name for name in imported if name.startswith("_") and name not in allowed]
+    assert not private, f"private library names the CLI imports: {private}"
+
+
 def test_kernel_timer_runs_at_tiny_size():
     # tools/kernels.py, scaled down: one JSON line per table row, in order,
     # each with ordered quartiles and the interpreter it ran on
@@ -150,3 +163,21 @@ def test_kernel_timer_runs_at_tiny_size():
         assert 0 <= line["q1_ms"] <= line["median_ms"] <= line["q3_ms"], line
         assert line["python"] == platform.python_version()
         assert line["cpu_count"] == os.cpu_count()
+
+
+def test_output_corpus_runs_at_tiny_size():
+    # tools/corpus.py, scaled down: one JSON line per section, in order, and
+    # the same hashes on a second run. No hash is pinned, since a change may
+    # alter output on purpose
+    tool = ROOT / "tools" / "corpus.py"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    runs = [subprocess.run([sys.executable, str(tool), "--scale", "0.01"], env=env,
+                           capture_output=True, text=True, check=True, timeout=60).stdout
+            for _ in range(2)]
+    spec = importlib.util.spec_from_file_location("corpus", tool)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    lines = [json.loads(line) for line in runs[0].splitlines()]
+    assert [line["section"] for line in lines] == [name for name, _ in corpus.SECTIONS]
+    assert all(line["requests"] > 0 and len(line["sha256"]) == 64 for line in lines), lines
+    assert runs[1] == runs[0]

@@ -115,9 +115,7 @@ def _lightest_window_row(n, rng):
 
 def _levels_and_weights(word, s):
     # check --verbose on a word the parity kernel refuses: the block kernel
-    # with its levels, then the text line's renderer. The rows keep the label
-    # they had when a kernel of their own gave the levels, so tables from
-    # before and after compare row by row
+    # with its levels, then the text line's renderer
     bits, head = _as_bits(word), word.count("A", 0, s)
 
     def call():
@@ -226,9 +224,9 @@ TABLE = [
     ("words._window_weights", 10**5, _window_weights_row),
     ("words._lightest_window", 10**5, _lightest_window_row),
     ("words._lightest_window", 10**3, _lightest_window_row),
-    ("words._window_levels + cli._weights", 10**5, _levels_row),
-    ("words._window_levels + cli._weights", 10**3, _levels_row),
-    ("words._window_levels + cli._weights two bands", 10**5, _levels_two_bands_row),
+    ("words._lightest_window leveled + cli._weights", 10**5, _levels_row),
+    ("words._lightest_window leveled + cli._weights", 10**3, _levels_row),
+    ("words._lightest_window leveled + cli._weights two bands", 10**5, _levels_two_bands_row),
     ("admissibility._two_valued", 10**6, _excess),
     ("admissibility._two_valued rotated", 10**5, _excess_rotated),
     ("admissibility._two_valued one swap", 10**5, _excess_one_swap),

@@ -120,8 +120,10 @@ CATALOGUE = [
            ("tests/test_cli.py::test_plan_rejects_bad_bounds", *WEIGHTS_TESTS)),
     Mutant("plan-machine-separator-without-space", "cli.py",
            '_weights(low, 1, excess, ", ")', '_weights(low, 1, excess, ",")', PLAN_RECORD_TESTS),
-    Mutant("plan-machine-closing-bracket-dropped", "cli.py",
-           '", ")}], {tail}', '", ")}, {tail}', PLAN_RECORD_TESTS),
+    Mutant("spliced-closing-bracket-dropped", "cli.py",
+           "[{weights}]{tail}", "[{weights}{tail}",
+           (*PLAN_RECORD_TESTS,
+            "tests/test_cli.py::test_check_machine_record_is_json_dumps_of_its_fields")),
     Mutant("weights-column-table-one-token-late", "cli.py",
            "offsets.translate(column[:256]", "offsets.translate(column[1:257]",
            (*PLAN_RECORD_TESTS, *WEIGHTS_TESTS)),
@@ -210,6 +212,10 @@ CATALOGUE = [
            "    if seed not in (0, 1):\n        return None\n", "",
            ("tests/test_admissibility.py::test_two_valued_seed_test_rejects_before_parsing",
             *EXCESS_TESTS)),
+    # a head of floor(k*s/n) seeds the kernel one level low wherever n does
+    # not divide k*s, so the certificate refuses and plan raises
+    Mutant("plan-head-floor", "admissibility.py", "-(-k * s // n)", "k * s // n",
+           ("tests/test_admissibility.py::test_plan_windows_is_the_mechanical_words_profile",)),
     Mutant("criterion-strict", "admissibility.py",
            "query.n * query.t <= query.k * query.s", "query.n * query.t < query.k * query.s",
            ("tests/test_admissibility.py::test_criterion_examples",)),
