@@ -126,10 +126,13 @@ def _two_valued(bits: str, k: int, s: int, head: int) -> tuple[int, int, int, by
     excess[i+1] = excess[i] ^ y[i] with y = x ^ (x rotated left by s): the
     excesses are the exclusive prefix XOR of y seeded with head - low.
     Packed as one int, spot 0 is the top bit, so the word is parsed once
-    and its rotation is two shifts under an n-bit mask; p ^= p >> shift
-    with shift doubling folds every higher bit into each lower one (the
-    inclusive prefix) in about log2(n) big-int steps, one more >> 1 makes it
-    exclusive, and flipping all n bits applies a seed of 1.
+    and its rotation is two shifts under an n-bit mask. The seed rides one
+    bit above spot 0, as the prefix's first term, and p ^= p >> shift with
+    shift doubling while shift < n folds every higher bit into each lower
+    one (the inclusive prefix) in about log2(n) big-int steps. The fold
+    gathers into each bit at least the n - 1 bits above it, so the only bit
+    the seed may miss is bit 0, which the final >> 1 drops as it makes the
+    prefix exclusive.
 
     Two integer tests make the result exact for every word. The seed test
     (the seed is 0 or 1) gives weight[0] = low + excess[0], and it rejects
@@ -147,17 +150,14 @@ def _two_valued(bits: str, k: int, s: int, head: int) -> tuple[int, int, int, by
     seed = head - low
     if seed not in (0, 1):
         return None
-    mask = (1 << n) - 1
     x = int(bits, 2)
-    y = x ^ ((x << s | x >> n - s) & mask)
-    p = y
+    y = x ^ ((x << s | x >> n - s) & (1 << n) - 1)
+    p = seed << n | y
     shift = 1
     while shift < n:
         p ^= p >> shift
         shift *= 2
     p >>= 1
-    if seed:
-        p ^= mask
     if y & (x ^ p):
         return None
     excess = format(p, f"0{n}b").encode().translate(_EXCESS)

@@ -104,16 +104,18 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
     """Run verify's three sweeps up to n_max; return their counts and failures.
 
     Equivalence, coprime k < n: arrange, Smith's recursion and the mechanical
-    word are rotations of one word, and both the mechanical word and the
-    recursion's word closed up as A...B hold ceil(k*i/n) letters A in their
-    prefix of length i, computed in integers. Oracle grid, n <= 12: the
-    necklace search agrees with criterion on every cell (n, k, s, t), and
-    _grid asks the search only for each column's boundary. Balance: each
-    window of length m <= 2n of every mechanical word weighs floor(m*k/n) or
-    ceil(m*k/n). A word on the ceiling list passes every length by
-    periodicity; a word off it is scanned with check_balance at each m.
-    Failures come equivalence first, then grid, then balance. An n_max below
-    1 would pass vacuously, so it raises ValueError before any sweep runs.
+    word are rotations of one word, the mechanical word holds ceil(k*i/n)
+    letters A in its prefix of length i, computed in integers, and the
+    recursion's word closed up as A...B is the mechanical word itself, so
+    that one ceiling check holds both (prefix counts 0..n fix a word of n
+    letters). Oracle grid, n <= 12: the necklace search agrees with
+    criterion on every cell (n, k, s, t), and _grid asks the search only
+    for each column's boundary. Balance: each window of length m <= 2n of
+    every mechanical word weighs floor(m*k/n) or ceil(m*k/n). A word on the
+    ceiling list passes every length by periodicity; a word off it is
+    scanned with check_balance at each m. Failures come equivalence first,
+    then grid, then balance. An n_max below 1 would pass vacuously, so it
+    raises ValueError before any sweep runs.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
@@ -136,11 +138,10 @@ def verify_sweeps(n_max: int) -> tuple[dict, list[str]]:
                 counts["equivalence_pairs"] += 1
                 built = arrange(n, k)
                 from_recursion = smith_ladder(smith_quotients(n, k))[-1]
-                closed = (A + from_recursion[:-2] + B).encode().translate(_BYTES)
                 if not (on_list
                         and rotation_equivalent(built, from_recursion)
                         and rotation_equivalent(built, word)
-                        and list(accumulate(closed, initial=0)) == ceilings):
+                        and A + from_recursion[:-2] + B == word):
                     equivalence.append(
                         f"equivalence n={n} k={k}: arrange={built} "
                         f"recursion={from_recursion} mechanical={word}")

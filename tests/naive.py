@@ -39,6 +39,16 @@ def lightest_window_by_prefix_sums(word, m):
     return start, int(weights[start])
 
 
+def ceiling_word(n, k):
+    """The length-n word whose prefix of length i holds ceil(k*i/n) letters A, for 0 <= i <= n.
+
+    Letter i is A exactly when ceil(k*(i+1)/n) exceeds ceil(k*i/n); prefix
+    counts 0..n fix a word, so this is the only such word.
+    """
+    ceilings = [-(-k * i // n) for i in range(n + 1)]
+    return "".join("A" if b > a else "B" for a, b in zip(ceilings, ceilings[1:]))
+
+
 def admissible(word, s, t):
     return min(windows(word, s)) >= t
 

@@ -120,9 +120,7 @@ def test_5_three_way_equivalence():
                 # closed up as A...B, the recursion's word has the ceiling
                 # formula's prefix counts: ceil(k*i/n) letters A in i letters
                 closed = "A" + from_recursion[:-2] + "B"
-                assert len(closed) == n, (n, k)
-                prefix = np.cumsum([0] + [c == "A" for c in closed])
-                assert (prefix == -((-k * np.arange(n + 1)) // n)).all(), (n, k)
+                assert closed == naive.ceiling_word(n, k), (n, k)
                 assert closed == mechanical, (n, k)
                 pairs += 1
         assert pairs == sum(1 for n in range(2, 201) for k in range(1, n)

@@ -513,7 +513,7 @@ def test_verify_checks_closed_recursion_word_against_ceiling_formula(capsys, mon
     # the recursion's word rotated by one letter is still a rotation of the
     # other two words, and the mechanical word is untouched, so only the
     # closing clause can catch it: wherever the rotated word closes up to
-    # other prefix counts than ceil(k*i/n), and nowhere else
+    # another word than the ceiling formula's, and nowhere else
     smith_ladder = oracle.smith_ladder
 
     def rotated_ladder(quotients):
@@ -527,8 +527,7 @@ def test_verify_checks_closed_recursion_word_against_ceiling_formula(capsys, mon
         for k in range(1, n):
             if gcd(n, k) == 1:
                 closed = "A" + rotated_ladder(constructions.smith_quotients(n, k))[-1][:-2] + "B"
-                if [closed[:i].count("A") for i in range(n + 1)] != [
-                        -(-k * i // n) for i in range(n + 1)]:
+                if closed != naive.ceiling_word(n, k):
                     expected.append(f"equivalence n={n} k={k}")
     assert expected and code == 2 and record["verdict"] == "fail"
     assert [f.split(":")[0] for f in record["failures"]] == expected
@@ -899,7 +898,8 @@ def test_word_building_commands_stop_at_the_cap(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("no word may be built above the cap")
 
-    for module, name in ((cli, "mechanical_word"), (cli, "arrange"), (cli, "smith_ladder")):
+    for module, name in ((cli, "mechanical_word"), (cli, "arrange"), (cli, "smith_ladder"),
+                         (admissibility, "mechanical_word")):
         monkeypatch.setattr(module, name, refuse)
     n = 10**12
     for argv in (["generate", str(n), "381966011251"],

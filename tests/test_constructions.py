@@ -199,19 +199,15 @@ def test_smith_length_and_weight():
         assert word.count("A") == q
 
 
-def ceiling_digits(n, k):
-    # digit i of the mechanical word is ceil(k*(i+1)/n) - ceil(k*i/n)
-    return "".join(str(-(-k * (i + 1) // n) + (k * i // -n)) for i in range(n))
-
-
 def test_builders_in_digits_are_to_bits_of_letters():
     # each builder seeded with (1, 0) builds letter for letter to_bits of its
     # (A, B) build; the mechanical word is also held to the ceiling formula,
     # and the Smith word to its length and weight
     for n in range(1, 61):
         for k in range(1, n + 1):
-            digits = mechanical_word(n, k, alphabet="01")
-            assert digits == to_bits(mechanical_word(n, k)) == ceiling_digits(n, k), (n, k)
+            letters = mechanical_word(n, k)
+            assert letters == naive.ceiling_word(n, k), (n, k)
+            assert mechanical_word(n, k, alphabet="01") == to_bits(letters), (n, k)
             assert arrange(n, k, alphabet="01") == to_bits(arrange(n, k)), (n, k)
     for n, k in [(1, 1), *coprime_pairs(60)]:
         quotients = smith_quotients(n, k)

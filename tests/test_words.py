@@ -1,6 +1,5 @@
 """Word primitives: parsing, mechanical words, balance."""
 
-import itertools
 import random
 from math import gcd
 
@@ -63,10 +62,7 @@ def test_mechanical_word_prefix_counts():
     # prefix of length m holds exactly ceil(k*m/n) letters A
     for n in range(1, 301):
         for k in range(1, n + 1):
-            word = mechanical_word(n, k)
-            counts = itertools.accumulate(c == "A" for c in word)
-            assert all(running == -(-k * m // n)
-                       for m, running in enumerate(counts, 1)), (n, k)
+            assert mechanical_word(n, k) == naive.ceiling_word(n, k), (n, k)
 
 
 def test_mechanical_word_weight_length_and_gcd_structure():

@@ -71,9 +71,9 @@ def _smith_ladder(alphabet):
 
 
 def _mechanical_word_as_bits(n, rng):
-    # digits the way generate --alphabet 01 made them before the builders
-    # took the alphabet: a build in letters, then a translation pass; k as in
-    # the mechanical_word row
+    # plan --alphabet AB's route to the parity kernel's digits in
+    # admissibility._plan_windows: a build in letters, then a translation
+    # pass; k as in the mechanical_word row
     k = _slope(n, random.Random(f"{SEED} mechanical_word"))
     return {"k": k}, lambda: _as_bits(mechanical_word(n, k))
 
@@ -100,23 +100,27 @@ def _seeded_word(n):
     return word, rng.randint(1, n)
 
 
+def _kernel_inputs(word, s):
+    # the word's digits and first window's weight, which check computes once
+    # for all its kernels
+    return _as_bits(word), word.count("A", 0, s)
+
+
 def _window_weights_row(n, rng):
     word, m = _seeded_word(n)
     return {"word": "random", "m": m}, lambda: _window_weights(word, m)
 
 
 def _lightest_window_row(n, rng):
-    # the kernel takes the word's digits and first window's weight, which
-    # check computes once for all its kernels
     word, m = _seeded_word(n)
-    bits, head = _as_bits(word), word.count("A", 0, m)
+    bits, head = _kernel_inputs(word, m)
     return {"word": "random", "m": m}, lambda: _lightest_window(bits, m, head)
 
 
 def _levels_and_weights(word, s):
     # check --verbose on a word the parity kernel refuses: the block kernel
     # with its levels, then the text line's renderer
-    bits, head = _as_bits(word), word.count("A", 0, s)
+    bits, head = _kernel_inputs(word, s)
 
     def call():
         _, low, top, levels = _lightest_window(bits, s, head, True)
@@ -140,9 +144,7 @@ def _levels_two_bands_row(n, rng):
 
 
 def _two_valued_call(word, k, s):
-    # the kernel takes the word's digits and first window's weight, which
-    # check computes once for all its kernels
-    bits, head = _as_bits(word), word.count("A", 0, s)
+    bits, head = _kernel_inputs(word, s)
     return lambda: _two_valued(bits, k, s, head)
 
 
