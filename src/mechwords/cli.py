@@ -33,7 +33,11 @@ VERIFY_CAP = 200
 # machine format with 6-digit weights (the word, its packed profile and the
 # rendered output; 31.5 and 35.3 MB at n = 1e6, 47.9 and 55.7 MB at 2e6, fresh
 # processes with stdout on a pipe, Python 3.11), so one request stays near
-# 0.25 GB at the cap
+# 0.25 GB at the cap. It is also the longest word check takes: at the cap a
+# random word at s = n/2, whose profile spans more levels than the level
+# bytes take, peaked at 522 MB with --verbose (the window list as ints) and
+# at 87 MB without (main called in a fresh process on a word built there,
+# stdout on a pipe)
 WORD_CAP = 10**7
 
 
@@ -118,8 +122,10 @@ def cmd_plan(args) -> int:
         _emit(args, record, [f"IMPOSSIBLE: nt = {nt} > ks = {ks}"])
         return EXIT_NEGATIVE
     _check_word_cap(query.n)
-    # --canonical is a no-op: the mechanical word is its least rotation
-    word, start, low, _, excess = _plan_windows(query, args.alphabet)
+    start, low, _, excess = _plan_windows(query)
+    # built after the certificate's digits are freed; --canonical is a no-op,
+    # as the mechanical word is its least rotation
+    word = mechanical_word(query.n, query.k, alphabet=args.alphabet)
     record.update(verdict="admissible", word=word)
     if args.format == "machine":
         # the rendered profile is the call's argument, so it is freed before
@@ -179,6 +185,7 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     word, s, t = args.word, args.s, args.t
+    _check_word_cap(len(word))
     bits, k, start, weight, top, levels = _check_windows(word, s, t, args.verbose)
     admissible = weight >= t
     shown = bits if args.alphabet == "01" else word

@@ -58,8 +58,9 @@ def _check_quota(t: int) -> None:
         raise ValueError("t must be non-negative")
 
 
-def parse_word(text: str) -> str:
-    """Validate a non-empty word over {A, B}: letters first, then emptiness."""
+def _check_word(text: str) -> str:
+    # parse_word's checks, letters first, then emptiness; to_bits makes them in
+    # its own call, so a refused word fails one public call, not two
     bad = set(text.translate(_FOREIGN))
     if bad:
         raise ValueError(
@@ -69,18 +70,18 @@ def parse_word(text: str) -> str:
     return text
 
 
-def _as_bits(word: str) -> str:
-    # to_bits for a word already known to be over {A, B}: no validation pass
-    return word.translate(_BITS)
+def parse_word(text: str) -> str:
+    """Validate a non-empty word over {A, B}: letters first, then emptiness."""
+    return _check_word(text)
 
 
 def to_bits(word: str) -> str:
-    """Render a word as 0/1 digits (A -> 1, B -> 0).
+    """Render a word as 0/1 digits (A -> 1, B -> 0), after parse_word's checks.
 
     A word the library builds needs no rendering pass: the builders take
     alphabet="01" and build the same digits directly.
     """
-    return _as_bits(parse_word(word))
+    return _check_word(word).translate(_BITS)
 
 
 def _euclid(n: int, k: int) -> tuple[list[int], list[int], int]:
@@ -229,7 +230,7 @@ def _lightest_window(bits: str, s: int, head: int, leveled: bool = False
                      ) -> tuple[int, int, int | None, bytes | None]:
     """(start, weight, top, levels): the first lightest window of s spots.
 
-    For a non-empty word as 0/1 digits (`_as_bits`), 1 <= s <= n, and head
+    For a non-empty word as 0/1 digits (`to_bits`), 1 <= s <= n, and head
     the weight of its first window; nothing is validated. weight is the
     minimum of _window_weights(word, s) and start its first index. With
     leveled, top is the largest level (a weight minus the lightest) and,

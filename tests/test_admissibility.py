@@ -1,5 +1,6 @@
 """Window profiles, the nt <= ks criterion, complement restatement, discrepancy."""
 
+import json
 import random
 
 import pytest
@@ -18,7 +19,8 @@ from mechwords import (
     window_weight_profile,
 )
 from mechwords.admissibility import _two_valued
-from mechwords.words import _as_bits
+from mechwords.cli import main
+from mechwords.words import to_bits
 
 
 @pytest.mark.parametrize("word, m, expected", [
@@ -64,7 +66,7 @@ def test_empty_word_is_rejected_before_the_window():
 
 def two_valued(word, s):
     # _two_valued on a word over {A, B}, given its digits and first window
-    return _two_valued(_as_bits(word), word.count("A"), s, word.count("A", 0, s))
+    return _two_valued(to_bits(word), word.count("A"), s, word.count("A", 0, s))
 
 
 def check_two_valued(word, s, weights):
@@ -120,28 +122,31 @@ def test_two_valued_seed_test_rejects_before_parsing(monkeypatch):
     assert two_valued("BBAAAAAA", 2) is None and parsed == []
     word = mechanical_word(8, 3)
     _, low, _, excess = two_valued(word, 4)
-    assert [low + e for e in excess] == naive.windows(word, 4) and parsed == [_as_bits(word)]
+    assert [low + e for e in excess] == naive.windows(word, 4) and parsed == [to_bits(word)]
 
 
-def test_plan_windows_is_the_mechanical_words_profile(monkeypatch):
-    # plan's chain with no CLI: the word in either alphabet, every weight as
-    # low + its excess byte, the first lightest window as start, and top 1
+def test_plan_windows_is_the_mechanical_words_profile(capsys, monkeypatch):
+    # plan's certificate with no CLI: every weight as low + its excess byte,
+    # the first lightest window as start, and top 1; the word plan prints,
+    # in either alphabet, is the ceiling formula's
     for n in range(1, 15):
         for k in range(1, n + 1):
-            letters = mechanical_word(n, k)
+            letters = naive.ceiling_word(n, k)
             for s in range(1, n + 1):
                 query = AdmissibilityQuery(n, k, s, 0)
                 weights = naive.windows(letters, s)
-                for alphabet in ("AB", "01"):
-                    word, start, low, top, excess = admissibility._plan_windows(query, alphabet)
-                    assert word == mechanical_word(n, k, alphabet=alphabet), (query, alphabet)
-                    assert [low + e for e in excess] == weights, (query, alphabet)
-                    assert (start, top) == (naive.lightest_window(letters, s)[0], 1), query
+                start, low, top, excess = admissibility._plan_windows(query)
+                assert [low + e for e in excess] == weights, query
+                assert (start, top) == (naive.lightest_window(letters, s)[0], 1), query
+            for alphabet, word in (("AB", letters), ("01", to_bits(letters))):
+                argv = ["plan", str(n), str(k), "1", "0", "--alphabet", alphabet]
+                assert main([*argv, "--format", "machine"]) == 0, argv
+                assert json.loads(capsys.readouterr().out)["word"] == word, argv
     # a profile the kernel refuses is a fault of the program
     monkeypatch.setattr(admissibility, "_two_valued", lambda bits, k, s, head: None)
     message = r"^the length-3 window profile of mechanical_word\(10, 4\) is not two-valued$"
     with pytest.raises(RuntimeError, match=message):
-        admissibility._plan_windows(AdmissibilityQuery(10, 4, 3, 1), "AB")
+        admissibility._plan_windows(AdmissibilityQuery(10, 4, 3, 1))
 
 
 def ceiling_weights(n, k, m, starts):

@@ -153,21 +153,21 @@ def test_generate_canonical_and_bits(capsys):
 
 
 def test_bits_rendering_does_not_revalidate_words(capsys, monkeypatch):
-    # check validates its word in one parse_word pass, inside
-    # window_weight_profile; --alphabet 01 renders words the command has
-    # checked or built, so it adds no pass to check and none at all to generate.
-    # parse_word is counted in every module that binds it
+    # check validates its word in one pass of words._check_word, the check
+    # behind parse_word and to_bits, inside the to_bits call that opens
+    # admissibility._check_windows; --alphabet 01 renders words the command
+    # has checked or built, so it adds no pass to check and none at all to
+    # generate
     calls = []
-    parse_word = words.parse_word
+    check_word = words._check_word
 
     def counting(text):
         calls.append(text)
-        return parse_word(text)
+        return check_word(text)
 
     word = words.mechanical_word(30, 11)
     bits = words.to_bits(word)
-    for module in (words, admissibility, constructions):
-        monkeypatch.setattr(module, "parse_word", counting)
+    monkeypatch.setattr(words, "_check_word", counting)
     passes = []
     for alphabet in ("AB", "01"):
         code, out, _ = run(capsys, "check", word, "7", "2", "--alphabet", alphabet)
@@ -640,25 +640,31 @@ def test_plan_and_check_scan_windows_once(capsys, monkeypatch):
 
 
 def test_plan_in_digits_translates_no_word(capsys, monkeypatch):
-    # under --alphabet 01 plan builds its word in digits, so no word is
-    # translated; under AB the word is translated once, for the kernel
+    # plan builds its kernel's digits and its printed word, so it translates
+    # no word in either alphabet; check translates its word once, for both
+    # kernels. to_bits is counted in every module that binds it
     translated = []
-    monkeypatch.setattr(admissibility, "_as_bits",
-                        lambda word: translated.append(word) or words._as_bits(word))
+    to_bits = words.to_bits
+    for module in (words, admissibility):
+        monkeypatch.setattr(module, "to_bits",
+                            lambda word: translated.append(word) or to_bits(word))
     for n, k, s in ((7, 3, 5), (12, 12, 5), (1000, 382, 17), (1001, 1, 1000)):
-        word = words.mechanical_word(n, k)
+        word = naive.ceiling_word(n, k)
         weights = naive.windows(word, s)
-        argv = ["plan", str(n), str(k), str(s), str(min(weights)), "--alphabet", "01"]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and out.splitlines()[1:3] == [
-            f"arrangement: {words.to_bits(word)}",
-            f"window weights (s={s}): {' '.join(map(str, weights))}"], argv
-        code, record, _ = machine(capsys, *argv)
-        assert code == 0 and record["profile"] == weights, argv
-        assert record["word"] == words.to_bits(word), argv
+        for alphabet, shown in (("AB", word), ("01", to_bits(word))):
+            argv = ["plan", str(n), str(k), str(s), str(min(weights)), "--alphabet", alphabet]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.splitlines()[1:3] == [
+                f"arrangement: {shown}",
+                f"window weights (s={s}): {' '.join(map(str, weights))}"], argv
+            code, record, _ = machine(capsys, *argv)
+            assert code == 0 and record["profile"] == weights, argv
+            assert record["word"] == shown, argv
     assert translated == []
-    assert run(capsys, "plan", "7", "3", "5", "2")[0] == 0
-    assert translated == ["ABABABB"]
+    for alphabet in ("AB", "01"):
+        assert run(capsys, "check", "ABABABB", "5", "2", "--alphabet", alphabet)[0] == 0
+        assert translated == ["ABABABB"]
+        translated.clear()
 
 
 def test_plan_stops_on_a_profile_the_kernel_refuses(capsys, monkeypatch):
@@ -916,6 +922,18 @@ def test_word_building_commands_stop_at_the_cap(capsys, monkeypatch):
     assert code == 0 and record["discrepancy"] == 1000
     # the benchmark's sizes, up to 1e6, sit far below the cap
     assert cli.WORD_CAP >= 10 * 10**6
+
+
+def test_check_stops_at_the_cap(capsys, monkeypatch):
+    # a word one letter above the cap is refused before any pass over it
+    def refuse(*args):
+        raise AssertionError("no word above the cap may be checked")
+
+    monkeypatch.setattr(cli, "_check_windows", refuse)
+    n = cli.WORD_CAP + 1
+    code, out, err = run(capsys, "check", "A" * n, str(n), "0", "--verbose")
+    assert (code, out) == (1, "")
+    assert err == f"error: n = {n} is above the word cap {cli.WORD_CAP}\n"
 
 
 def test_discrepancy_rejects_bad_window(capsys):

@@ -149,20 +149,26 @@ def test_cli_only_renders():
 
 def test_kernel_timer_runs_at_tiny_size():
     # tools/kernels.py, scaled down: one JSON line per table row, in order,
-    # each with ordered quartiles and the interpreter it ran on
+    # each with ordered quartiles and the interpreter it ran on; against the
+    # repo's own tree every row is timed on both, and no ratio is asserted
     tool = ROOT / "tools" / "kernels.py"
-    result = subprocess.run([sys.executable, str(tool), "--scale", "0.0001"],
-                            capture_output=True, text=True, check=True, timeout=60)
     spec = importlib.util.spec_from_file_location("kernels", tool)
     kernels = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kernels)
-    lines = [json.loads(line) for line in result.stdout.splitlines()]
-    assert [line["kernel"] for line in lines] == [name for name, _, _ in kernels.TABLE]
-    for line in lines:
-        assert line["n"] >= 2 and line["repeats"] == kernels.REPEATS
-        assert 0 <= line["q1_ms"] <= line["median_ms"] <= line["q3_ms"], line
-        assert line["python"] == platform.python_version()
-        assert line["cpu_count"] == os.cpu_count()
+    for extra, prefixes in (([], [""]), (["--against", str(ROOT)], ["", "against_", "ratio_"])):
+        result = subprocess.run([sys.executable, str(tool), "--scale", "0.0001", *extra],
+                                capture_output=True, text=True, check=True, timeout=60)
+        lines = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [line["kernel"] for line in lines] == [name for name, _, _ in kernels.TABLE]
+        for line in lines:
+            assert line["n"] >= 2 and line["repeats"] == kernels.REPEATS
+            assert "missing" not in line and ("ratio" in line) == bool(extra), line
+            for prefix in prefixes:
+                unit = "" if prefix == "ratio_" else "_ms"
+                q1, median, q3 = (line[f"{prefix}{q}{unit}"] for q in ("q1", "median", "q3"))
+                assert 0 <= q1 <= median <= q3, line
+            assert line["python"] == platform.python_version()
+            assert line["cpu_count"] == os.cpu_count()
 
 
 def test_output_corpus_runs_at_tiny_size():

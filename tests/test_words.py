@@ -9,7 +9,7 @@ import pytest
 import naive
 from mechwords import check_balance, mechanical_word, parse_word, to_bits
 from mechwords.words import (
-    _DROP4, _LOW4, _PEAK4, _PREFIX4, _SUM4, _as_bits, _interleaved, _lifted, _lightest_window,
+    _DROP4, _LOW4, _PEAK4, _PREFIX4, _SUM4, _interleaved, _lifted, _lightest_window,
     _merged, _window_weights)
 
 
@@ -129,7 +129,7 @@ def test_mechanical_words_are_balanced():
 def lightest_window(word, s):
     # the kernel on a word over {A, B}, given its digits and first window;
     # without levels asked for it gives neither top nor levels
-    start, weight, top, levels = _lightest_window(_as_bits(word), s, word.count("A", 0, s))
+    start, weight, top, levels = _lightest_window(to_bits(word), s, word.count("A", 0, s))
     assert top is None and levels is None
     return start, weight
 
@@ -231,7 +231,7 @@ def window_levels(word, s):
     # the kernel on a word over {A, B} with levels asked for, its levels read
     # as ints; None in their place past its cap
     start, low, top, levels = _lightest_window(
-        _as_bits(word), s, word.count("A", 0, s), leveled=True)
+        to_bits(word), s, word.count("A", 0, s), leveled=True)
     if levels is None:
         return low, top, start, None
     if top >= 256:

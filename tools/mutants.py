@@ -219,6 +219,11 @@ CATALOGUE = [
     Mutant("criterion-strict", "admissibility.py",
            "query.n * query.t <= query.k * query.s", "query.n * query.t < query.k * query.s",
            ("tests/test_admissibility.py::test_criterion_examples",)),
+    # only a word above the cap shows it, and the cap test refuses any check
+    # that gets past the cap
+    Mutant("check-word-cap-dropped", "cli.py",
+           "    _check_word_cap(len(word))\n", "",
+           ("tests/test_cli.py::test_check_stops_at_the_cap",)),
     Mutant("main-catches-type-error", "cli.py",
            "    except ValueError as exc:\n", "    except TypeError as exc:\n",
            ("tests/test_domain.py::test_bad_pair_refused_alike_everywhere",
